@@ -23,8 +23,27 @@ let num_deterministic_protocols n =
   let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
   pow p p 1 * (1 lsl n)
 
-(* Decode a protocol from (transition assignment index, output bitmap). *)
-let decode n ~pair_list ~assignment ~output_bits =
+let check_n who n =
+  if n < 1 || n > 4 then
+    invalid_arg (Printf.sprintf "Busy_beaver.%s: 1 <= n <= 4" who)
+
+(* What every protocol of one code space shares, built once per [n]
+   rather than per decoded protocol: the ordered pairs, the state names
+   and the protocol-name prefix. *)
+type space = { pair_list : (int * int) array; states : string array; prefix : string }
+
+let spaces =
+  Array.init 5 (fun n ->
+      {
+        pair_list = pairs n;
+        states = Array.init n (Printf.sprintf "q%d");
+        prefix = Printf.sprintf "bb-%d-" n;
+      })
+
+(* Decode a protocol from (transition assignment index, output bitmap).
+   Its name is [bb-<n>-<assignment>-<output_bits>]. *)
+let decode n ~assignment ~output_bits =
+  let { pair_list; states; prefix } = spaces.(n) in
   let np = Array.length pair_list in
   let transitions = ref [] in
   let code = ref assignment in
@@ -37,19 +56,16 @@ let decode n ~pair_list ~assignment ~output_bits =
   done;
   let output = Array.init n (fun s -> output_bits land (1 lsl s) <> 0) in
   Population.make
-    ~name:(Printf.sprintf "bb-%d-%d-%d" n assignment output_bits)
-    ~states:(Array.init n (fun i -> Printf.sprintf "q%d" i))
-    ~transitions:!transitions
+    ~name:
+      (String.concat ""
+         [ prefix; string_of_int assignment; "-"; string_of_int output_bits ])
+    ~states ~transitions:!transitions
     ~inputs:[ ("x", 0) ]
     ~output ()
 
-let check_n who n =
-  if n < 1 || n > 4 then
-    invalid_arg (Printf.sprintf "Busy_beaver.%s: 1 <= n <= 4" who)
-
 let protocol_of_code ~n ~assignment ~output_bits =
   check_n "protocol_of_code" n;
-  decode n ~pair_list:(pairs n) ~assignment ~output_bits
+  decode n ~assignment ~output_bits
 
 (* Sampled codes come from per-index splits of the master stream (the
    [Ensemble.rng_for_trial] scheme): sample [i] depends only on the seed
@@ -91,7 +107,7 @@ module Symmetry = struct
 
   let make n =
     check_n "Symmetry.make" n;
-    let pair_list = pairs n in
+    let pair_list = spaces.(n).pair_list in
     let np = Array.length pair_list in
     let pair_index = Array.make (n * n) 0 in
     Array.iteri (fun k (a, b) -> pair_index.((a * n) + b) <- k) pair_list;
@@ -281,7 +297,6 @@ let partial_of_json j =
    story of the distributed scan. *)
 type plan = {
   pl_n : int;
-  pl_pair_list : (int * int) array;
   pl_num_outputs : int;
   pl_max_input : int;
   pl_max_configs : int;
@@ -302,8 +317,7 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     ?(packed = true) ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s
     ?sample ~n () =
   check_n "plan" n;
-  let pair_list = pairs n in
-  let np = Array.length pair_list in
+  let np = Array.length spaces.(n).pair_list in
   let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
   let num_assignments = pow np np 1 in
   let num_outputs = 1 lsl n in
@@ -321,7 +335,6 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
   let chunk = Stdlib.max 1 chunk in
   {
     pl_n = n;
-    pl_pair_list = pair_list;
     pl_num_outputs = num_outputs;
     pl_max_input = max_input;
     pl_max_configs = max_configs;
@@ -487,7 +500,7 @@ let examine plan part display ~weight ~assignment ~output_bits =
   (* all-reject output maps short-circuit *)
   if output_bits = 0 then part.p_reject_all <- part.p_reject_all + weight
   else begin
-    let p = decode plan.pl_n ~pair_list:plan.pl_pair_list ~assignment ~output_bits in
+    let p = decode plan.pl_n ~assignment ~output_bits in
     let bump_hist eta =
       part.p_threshold <- part.p_threshold + weight;
       if Obs.Metrics.enabled () then Obs.Metrics.add m_threshold weight;
@@ -613,8 +626,7 @@ let merge_partials plan partials ~completed ~interrupted ~task_errors =
       best =
         Option.map
           (fun (assignment, output_bits) ->
-            decode plan.pl_n ~pair_list:plan.pl_pair_list ~assignment
-              ~output_bits)
+            decode plan.pl_n ~assignment ~output_bits)
           acc.p_best_code;
       histogram =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) acc.p_hist []
@@ -793,8 +805,7 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
 
 let iter_protocols ?sample ~n f =
   check_n "iter_protocols" n;
-  let pair_list = pairs n in
-  let np = Array.length pair_list in
+  let np = Array.length spaces.(n).pair_list in
   let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
   let num_assignments = pow np np 1 in
   let num_outputs = 1 lsl n in
@@ -802,11 +813,11 @@ let iter_protocols ?sample ~n f =
   | None ->
     for assignment = 0 to num_assignments - 1 do
       for output_bits = 0 to num_outputs - 1 do
-        f (decode n ~pair_list ~assignment ~output_bits)
+        f (decode n ~assignment ~output_bits)
       done
     done
   | Some (count, seed) ->
     Array.iter
       (fun (assignment, output_bits) ->
-        f (decode n ~pair_list ~assignment ~output_bits))
+        f (decode n ~assignment ~output_bits))
       (sample_codes ~seed ~count ~num_assignments ~num_outputs)

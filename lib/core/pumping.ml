@@ -11,16 +11,7 @@ let stable_union_downset analysis = Stable_sets.stable_union analysis
 
 (* First stable configuration in BFS order from [c0]. *)
 let first_stable ?max_configs p sc c0 =
-  let g = Configgraph.explore ?max_configs p c0 in
-  let n = Configgraph.num_configs g in
-  let rec go i =
-    if i >= n then None
-    else begin
-      let c = g.Configgraph.configs.(i) in
-      if Downset.mem c sc then Some c else go (i + 1)
-    end
-  in
-  go 0
+  Configgraph.search ?max_configs p c0 (fun c -> Downset.mem c sc)
 
 let add_inputs p c j =
   let x = Potential.input_state p in
@@ -88,8 +79,7 @@ let find_witness ?max_configs ?(first = 2) p ~max_input =
   end
 
 let reaches ?max_configs p c0 target =
-  let g = Configgraph.explore ?max_configs p c0 in
-  Configgraph.can_reach_config g ~src:g.Configgraph.root target
+  Option.is_some (Configgraph.search ?max_configs p c0 (Mset.equal target))
 
 let check ?max_configs w =
   let p = w.protocol in

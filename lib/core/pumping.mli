@@ -29,7 +29,8 @@ val sequence :
   (int * Mset.t) list
 (** [(i, C_i)] pairs of the Lemma 4.2 construction, for [count] inputs
     starting at [first]: each [C_{i+1}] is the first stable
-    configuration found (breadth-first) from [C_i + x].
+    configuration found (breadth-first, by {!Configgraph.search}) from
+    [C_i + x].
     @raise Failure if some exploration finds no stable configuration
     (the protocol then computes nothing). *)
 

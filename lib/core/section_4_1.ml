@@ -3,14 +3,12 @@ let min_accepting_input ?(max_configs = 60_000) p ~max_input =
   else begin
     let accepting c = Population.output_of_config p c = Some true in
     let inputs = Fair_semantics.valid_inputs_single p ~max:max_input in
-    let rec go = function
-      | [] -> None
-      | i :: rest ->
-        let g = Configgraph.explore ~max_configs p (Population.initial_single p i) in
-        if Configgraph.can_reach g ~src:g.Configgraph.root accepting then Some i
-        else go rest
-    in
-    go inputs
+    List.find_opt
+      (fun i ->
+        Option.is_some
+          (Configgraph.search ~max_configs p (Population.initial_single p i)
+             accepting))
+      inputs
   end
 
 type scan_result = {

@@ -19,7 +19,13 @@ val min_accepting_input :
   ?max_configs:int -> Population.t -> max_input:int -> int option
 (** Least [i <= max_input] such that some configuration reachable from
     [IC(i)] has all agents on output-1 states; [None] if there is none
-    below the cutoff (or the protocol has no output-1 state at all). *)
+    below the cutoff (or the protocol has no output-1 state at all).
+    Each input is one {!Configgraph.search}: a breadth-first walk from
+    [IC(i)] that stops at the first [All_1] configuration it discovers,
+    so the graph is built in full only when no such configuration is
+    reachable.
+    @raise Configgraph.Too_many_configs when a search discovers
+    [max_configs] (default 60_000) configurations without a match. *)
 
 type scan_result = {
   num_protocols : int;

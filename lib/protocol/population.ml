@@ -14,10 +14,16 @@ type t = {
   deltas : Intvec.t array;
 }
 
-let canon_pair (a, b) = if a <= b then (a, b) else (b, a)
+let canon_pair ((a : int), (b : int)) = if a <= b then (a, b) else (b, a)
 
 let transition_of_quad (p, q, p', q') =
   { pre = canon_pair (p, q); post = canon_pair (p', q') }
+
+(* Int comparisons, not polymorphic equality: [make] runs once per
+   decoded protocol in the busy-beaver scans. *)
+let equal_transition t u =
+  let (a : int), (b : int) = t.pre and (a' : int), (b' : int) = t.post in
+  a = fst u.pre && b = snd u.pre && a' = fst u.post && b' = snd u.post
 
 let delta_of_transition d { pre = p, q; post = p', q' } =
   let v = Array.make d 0 in
@@ -53,7 +59,7 @@ let make ~name ~states ~transitions ?(leaders = []) ~inputs ~output () =
   let canonical = List.map transition_of_quad transitions in
   let dedup =
     List.fold_left
-      (fun acc tr -> if List.mem tr acc then acc else tr :: acc)
+      (fun acc tr -> if List.exists (equal_transition tr) acc then acc else tr :: acc)
       [] canonical
     |> List.rev
   in
@@ -142,18 +148,6 @@ let successors p c =
     | None -> ()
   done;
   !acc
-
-let distinct_successors p c =
-  let tbl = Hashtbl.create 8 in
-  List.filter_map
-    (fun (_, c') ->
-      let key = Array.to_list (Mset.to_intvec c') in
-      if Hashtbl.mem tbl key then None
-      else begin
-        Hashtbl.add tbl key ();
-        Some c'
-      end)
-    (successors p c)
 
 let initial_config p v =
   if Array.length v <> Array.length p.input_vars then

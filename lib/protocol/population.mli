@@ -77,9 +77,6 @@ val successors : t -> Mset.t -> (int * Mset.t) list
 (** All [(transition, successor)] pairs enabled at a configuration;
     successors may repeat when distinct transitions coincide. *)
 
-val distinct_successors : t -> Mset.t -> Mset.t list
-(** De-duplicated successor configurations. *)
-
 val initial_config : t -> int array -> Mset.t
 (** [initial_config p v] is [IC(v) = L + Σ_x v(x)·I(x)].
     @raise Invalid_argument if [v] has the wrong arity or [|IC(v)| < 2]. *)

@@ -166,64 +166,198 @@ let check_deadline deadline ~configs ~edges =
         [ ("configs", float_of_int configs); ("edges", float_of_int edges) ]
       d
 
+(* Counters of one exploration. Published from a [Fun.protect]
+   finaliser, so a run that [Too_many_configs] aborts still reports how
+   far it got. [edges] is [None] for a search, which keeps no edges. *)
+let publish extra ~configs ~edges =
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.incr m_explorations;
+    List.iter Obs.Metrics.incr extra;
+    Obs.Metrics.add m_configs configs;
+    Option.iter (Obs.Metrics.add m_edges) edges
+  end
+
+(* The successor step shared by every exploration, on both kernels
+   below: fire the enabled transitions in transition order into a
+   scratch array, drop repeated values keeping the first occurrence,
+   intern the survivors in that order (this fixes the node numbering,
+   the same on both kernels), then sort the indices and drop the self
+   loop and repeats. [sorted_succ idxs n v] is that last part, on the
+   first [n] interned indices; insertion sort, as [n] is at most the
+   number of transitions. *)
+let sorted_succ idxs n v =
+  for k = 1 to n - 1 do
+    let x = idxs.(k) in
+    let j = ref (k - 1) in
+    while !j >= 0 && idxs.(!j) > x do
+      idxs.(!j + 1) <- idxs.(!j);
+      decr j
+    done;
+    idxs.(!j + 1) <- x
+  done;
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then incr m
+  done;
+  let out = Array.make !m 0 in
+  let w = ref 0 in
+  for k = 0 to n - 1 do
+    if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then begin
+      out.(!w) <- idxs.(k);
+      incr w
+    end
+  done;
+  out
+
+(* -- the multiset kernel ----------------------------------------------- *)
+
+(* Discovered configurations, their interning table, and scratch space
+   for one successor step. Successors are fired into the reused [buf]
+   rows, so a step allocates only the configurations it discovers and
+   the successor array. *)
+type kernel = {
+  dim : int;
+  pre_a : int array;
+  pre_b : int array;
+  post_a : int array;
+  post_b : int array;
+  index : int H.t;
+  nodes : Mset.t Grow.t;
+  max_configs : int;
+  buf : int array array;
+  idxs : int array;
+  mutable edges : int;
+}
+
+let kernel ~max_configs p =
+  let nt = Population.num_transitions p and dim = Population.num_states p in
+  let field f = Array.map f p.Population.transitions in
+  {
+    dim;
+    pre_a = field (fun t -> fst t.Population.pre);
+    pre_b = field (fun t -> snd t.Population.pre);
+    post_a = field (fun t -> fst t.Population.post);
+    post_b = field (fun t -> snd t.Population.post);
+    index = H.create 64;  (* most searches stop within a few dozen nodes *)
+    nodes = Grow.create (Mset.zero 0);
+    max_configs;
+    buf = Array.init nt (fun _ -> Array.make dim 0);
+    idxs = Array.make nt 0;
+    edges = 0;
+  }
+
+(* Node index of [c], adding a copy when it is new (so [c] may be a
+   scratch row). *)
+let intern k c =
+  match H.find_opt k.index c with
+  | Some i -> i
+  | None ->
+    if k.nodes.Grow.len >= k.max_configs then
+      raise (Too_many_configs k.max_configs);
+    let i = k.nodes.Grow.len in
+    let c = Mset.unsafe_of_array (Array.copy (c :> int array)) in
+    H.add k.index c i;
+    Grow.push k.nodes c;
+    i
+
+(* Fire node [v]'s enabled transitions into [buf], keeping the first
+   occurrence of each value; returns how many rows are filled. *)
+let fire k v =
+  let c = (Grow.get k.nodes v :> int array) in
+  let n = ref 0 in
+  for t = 0 to Array.length k.pre_a - 1 do
+    let a = k.pre_a.(t) and b = k.pre_b.(t) in
+    if (if a = b then c.(a) >= 2 else c.(a) >= 1 && c.(b) >= 1) then begin
+      let s = k.buf.(!n) in
+      Array.blit c 0 s 0 k.dim;
+      s.(a) <- s.(a) - 1;
+      s.(b) <- s.(b) - 1;
+      s.(k.post_a.(t)) <- s.(k.post_a.(t)) + 1;
+      s.(k.post_b.(t)) <- s.(k.post_b.(t)) + 1;
+      let s = Mset.unsafe_of_array s in
+      let dup = ref false in
+      for j = 0 to !n - 1 do
+        if Mset.equal (Mset.unsafe_of_array k.buf.(j)) s then dup := true
+      done;
+      if not !dup then incr n
+    end
+  done;
+  !n
+
+let expand k v =
+  let n = fire k v in
+  for j = 0 to n - 1 do
+    k.idxs.(j) <- intern k (Mset.unsafe_of_array k.buf.(j))
+  done;
+  let out = sorted_succ k.idxs n v in
+  k.edges <- k.edges + Array.length out;
+  out
+
 let explore ?(max_configs = 2_000_000) ?deadline p c0 =
-  let index = H.create 1024 in
-  let configs = Grow.create (Mset.zero 0) in
+  let k = kernel ~max_configs p in
   let succs = Grow.create [||] in
-  let edges = ref 0 in
   let progress = Obs.Progress.create "configgraph.explore" in
-  let intern c =
-    match H.find_opt index c with
-    | Some i -> i
-    | None ->
-      if configs.Grow.len >= max_configs then
-        raise (Too_many_configs max_configs);
-      let i = configs.Grow.len in
-      H.add index c i;
-      Grow.push configs c;
-      i
-  in
-  (* Publish even when [Too_many_configs] aborts the exploration, so an
-     over-budget run still reports how far it got. *)
   Fun.protect
     ~finally:(fun () ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr m_explorations;
-        Obs.Metrics.add m_configs configs.Grow.len;
-        Obs.Metrics.add m_edges !edges
-      end)
+      publish [] ~configs:k.nodes.Grow.len ~edges:(Some k.edges))
     (fun () ->
       Obs.Trace.with_span "configgraph.explore" ~cat:"verify"
         ~args:[ ("protocol", p.Population.name) ]
         (fun () ->
-          let root = intern c0 in
+          let root = intern k c0 in
           let i = ref 0 in
-          while !i < configs.Grow.len do
-            if !i land 255 = 0 then
-              check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-            Obs.Progress.tick progress (fun () ->
-                Printf.sprintf "%d configs explored, %d discovered, %d edges"
-                  !i configs.Grow.len !edges);
-            let c = Grow.get configs !i in
-            let next = Population.distinct_successors p c in
-            let idxs =
-              List.sort_uniq Stdlib.compare (List.map intern next)
-              |> List.filter (fun j -> j <> !i)
-            in
-            edges := !edges + List.length idxs;
-            Grow.push succs (Array.of_list idxs);
+          while !i < k.nodes.Grow.len do
+            if !i land 255 = 0 then begin
+              check_deadline deadline ~configs:k.nodes.Grow.len ~edges:k.edges;
+              Obs.Progress.tick progress (fun () ->
+                  Printf.sprintf "%d configs explored, %d discovered, %d edges"
+                    !i k.nodes.Grow.len k.edges)
+            end;
+            Grow.push succs (expand k !i);
             incr i
           done;
           Obs.Progress.finish progress (fun () ->
-              Printf.sprintf "%d configs, %d edges" configs.Grow.len !edges);
+              Printf.sprintf "%d configs, %d edges" k.nodes.Grow.len k.edges);
           {
             protocol = p;
-            configs = Grow.to_array configs;
+            configs = Grow.to_array k.nodes;
             succ = Grow.to_array succs;
             root;
-            (* the interning table survives as the O(1) lookup index *)
-            lookup = (fun c -> H.find_opt index c);
+            (* the interning table survives as the O(1) lookup index;
+               the rest of the kernel is garbage once this returns *)
+            lookup =
+              (let index = k.index in
+               fun c -> H.find_opt index c);
           }))
+
+let search ?(max_configs = 2_000_000) p c0 pred =
+  let k = kernel ~max_configs p in
+  let exception Found of int in
+  (* a new node is checked the moment it is interned, so the first
+     match in discovery order stops the walk *)
+  let visit c =
+    let before = k.nodes.Grow.len in
+    let j = intern k c in
+    if j = before && pred (Grow.get k.nodes j) then raise (Found j)
+  in
+  Fun.protect
+    ~finally:(fun () -> publish [] ~configs:k.nodes.Grow.len ~edges:None)
+    (fun () ->
+      Obs.Trace.with_span "configgraph.search" ~cat:"verify"
+        ~args:[ ("protocol", p.Population.name) ]
+        (fun () ->
+          try
+            visit c0;
+            let i = ref 0 in
+            while !i < k.nodes.Grow.len do
+              let n = fire k !i in
+              for j = 0 to n - 1 do
+                visit (Mset.unsafe_of_array k.buf.(j))
+              done;
+              incr i
+            done;
+            None
+          with Found j -> Some (Grow.get k.nodes j)))
 
 let num_configs g = Array.length g.configs
 let find g c = g.lookup c
@@ -260,62 +394,33 @@ let can_reach g ~src pred =
   in
   go 0
 
-let can_reach_config g ~src c =
-  match find g c with
-  | None -> false
-  | Some i -> i = src || (reachable_from g src).(i)
-
 let explore_sccs ?(max_configs = 2_000_000) ?deadline p c0 ~on_bottom =
-  let index = H.create 1024 in
-  let configs = Grow.create (Mset.zero 0) in
-  let edges = ref 0 in
+  let k = kernel ~max_configs p in
   let sccs = ref 0 in
   let progress = Obs.Progress.create "configgraph.explore_sccs" in
-  let intern c =
-    match H.find_opt index c with
-    | Some i -> i
-    | None ->
-      if configs.Grow.len >= max_configs then
-        raise (Too_many_configs max_configs);
-      let i = configs.Grow.len in
-      H.add index c i;
-      Grow.push configs c;
-      i
-  in
   let expand v =
-    if v land 255 = 0 then
-      check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-    Obs.Progress.tick progress (fun () ->
-        Printf.sprintf "%d configs discovered, %d edges, %d sccs"
-          configs.Grow.len !edges !sccs);
-    let c = Grow.get configs v in
-    let idxs =
-      List.sort_uniq Stdlib.compare
-        (List.map intern (Population.distinct_successors p c))
-      |> List.filter (fun j -> j <> v)
-    in
-    edges := !edges + List.length idxs;
-    Array.of_list idxs
+    if v land 255 = 0 then begin
+      check_deadline deadline ~configs:k.nodes.Grow.len ~edges:k.edges;
+      Obs.Progress.tick progress (fun () ->
+          Printf.sprintf "%d configs discovered, %d edges, %d sccs"
+            k.nodes.Grow.len k.edges !sccs)
+    end;
+    expand k v
   in
   Fun.protect
     ~finally:(fun () ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr m_explorations;
-        Obs.Metrics.incr m_lazy;
-        Obs.Metrics.add m_configs configs.Grow.len;
-        Obs.Metrics.add m_edges !edges
-      end)
+      publish [ m_lazy ] ~configs:k.nodes.Grow.len ~edges:(Some k.edges))
     (fun () ->
       Obs.Trace.with_span "configgraph.explore_sccs" ~cat:"verify"
         ~args:[ ("protocol", p.Population.name) ]
         (fun () ->
-          ignore (intern c0);
+          ignore (intern k c0);
           sccs :=
             lazy_sccs ~expand ~on_bottom:(fun members ->
-                on_bottom (List.map (Grow.get configs) members));
+                on_bottom (List.map (Grow.get k.nodes) members));
           Obs.Progress.finish progress (fun () ->
-              Printf.sprintf "%d configs, %d edges, %d sccs" configs.Grow.len
-                !edges !sccs);
+              Printf.sprintf "%d configs, %d edges, %d sccs" k.nodes.Grow.len
+                k.edges !sccs);
           !sccs))
 
 (* ---------------------------------------------------------------------- *)
@@ -326,11 +431,8 @@ let explore_sccs ?(max_configs = 2_000_000) ?deadline p c0 ~on_bottom =
    so the exploration above can run with int-keyed interning and zero
    allocation per successor: firing transition t on packed c is
    [c + pdelta.(t)] after an enabledness check on two bit fields. The
-   node order is identical to the reference exploration — successors
-   are generated in transition order and deduplicated keeping first
-   occurrences, exactly like [Population.distinct_successors] — so the
-   two graphs agree index-for-index (a property the test suite checks
-   differentially). *)
+   successor step is the multiset kernel's, so the two graphs agree
+   index-for-index (a property the test suite checks differentially). *)
 
 module Packed = struct
   type graph = {
@@ -355,304 +457,181 @@ module Packed = struct
     let h = x * 0x2545F4914F6CDD1D in
     (h lxor (h lsr 29)) land max_int
 
-  let explore ?(max_configs = 2_000_000) ?deadline p c0 =
+  (* The multiset kernel's shape on packed ints. The intern table is
+     open-addressing (linear probing, load <= 1/2): the per-successor
+     membership probe is the scan's hottest operation, so it must not
+     allocate. Packed configs are non-negative; -1 marks an empty
+     slot. *)
+  type kernel = {
+    pre_a : int array;  (* bit offsets of the pre-states *)
+    pre_b : int array;
+    pdelta : int array;
+    mutable cap : int;
+    mutable keys : int array;
+    mutable ids : int array;
+    nodes : int Grow.t;
+    max_configs : int;
+    vals : int array;
+    idxs : int array;
+    mutable edges : int;
+  }
+
+  let kernel ~who ~max_configs p c0 =
     if not (applicable p c0) then
-      invalid_arg "Configgraph.Packed.explore: protocol/configuration not packable";
+      invalid_arg
+        ("Configgraph.Packed." ^ who ^ ": protocol/configuration not packable");
     let nt = Population.num_transitions p in
-    (* per-transition firing data, unpacked from the protocol once *)
-    let pre_a = Array.make nt 0 in
-    let pre_b = Array.make nt 0 in
-    let pdelta = Array.make nt 0 in
-    Array.iteri
-      (fun t { Population.pre = a, b; _ } ->
-        pre_a.(t) <- 8 * a;
-        pre_b.(t) <- 8 * b;
-        pdelta.(t) <- Mset.pack_delta (Population.displacement p t))
-      p.Population.transitions;
-    (* open-addressing intern table (linear probing, load <= 1/2): the
-       per-successor membership probe is the scan's hottest operation,
-       so it must not allocate. Packed configs are non-negative; -1
-       marks an empty slot. *)
-    let cap = ref 256 in
-    let keys = ref (Array.make !cap (-1)) in
-    let ids = ref (Array.make !cap 0) in
-    let slot_of keys cap c =
-      let mask = cap - 1 in
-      let s = ref (hash c land mask) in
-      while
-        let k = keys.(!s) in
-        k <> -1 && k <> c
-      do
-        s := (!s + 1) land mask
-      done;
-      !s
-    in
-    let grow () =
-      let cap' = 2 * !cap in
-      let keys' = Array.make cap' (-1) in
-      let ids' = Array.make cap' 0 in
-      for s = 0 to !cap - 1 do
-        let k = !keys.(s) in
-        if k <> -1 then begin
-          let s' = slot_of keys' cap' k in
-          keys'.(s') <- k;
-          ids'.(s') <- !ids.(s)
-        end
-      done;
-      cap := cap';
-      keys := keys';
-      ids := ids'
-    in
-    let configs = Grow.create 0 in
-    let succs = Grow.create [||] in
-    let edges = ref 0 in
-    let progress = Obs.Progress.create "configgraph.explore" in
-    let intern c =
-      let s = slot_of !keys !cap c in
-      if !keys.(s) <> -1 then !ids.(s)
-      else begin
-        if configs.Grow.len >= max_configs then
-          raise (Too_many_configs max_configs);
-        let i = configs.Grow.len in
-        !keys.(s) <- c;
-        !ids.(s) <- i;
-        Grow.push configs c;
-        if 2 * i >= !cap then grow ();
-        i
+    let trs = p.Population.transitions in
+    {
+      pre_a = Array.map (fun t -> 8 * fst t.Population.pre) trs;
+      pre_b = Array.map (fun t -> 8 * snd t.Population.pre) trs;
+      pdelta = Array.init nt (fun t -> Mset.pack_delta (Population.displacement p t));
+      cap = 256;
+      keys = Array.make 256 (-1);
+      ids = Array.make 256 0;
+      nodes = Grow.create 0;
+      max_configs;
+      vals = Array.make nt 0;
+      idxs = Array.make nt 0;
+      edges = 0;
+    }
+
+  let slot_of keys cap c =
+    let mask = cap - 1 in
+    let s = ref (hash c land mask) in
+    while
+      let k = keys.(!s) in
+      k <> -1 && k <> c
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+
+  let grow k =
+    let cap = 2 * k.cap in
+    let keys = Array.make cap (-1) in
+    let ids = Array.make cap 0 in
+    for s = 0 to k.cap - 1 do
+      let c = k.keys.(s) in
+      if c <> -1 then begin
+        let s' = slot_of keys cap c in
+        keys.(s') <- c;
+        ids.(s') <- k.ids.(s)
       end
-    in
-    (* scratch buffers, reused across nodes: distinct successor values in
-       first-occurrence order, then their node indices *)
-    let vals = Array.make (Stdlib.max 1 nt) 0 in
-    let idxs = Array.make (Stdlib.max 1 nt) 0 in
+    done;
+    k.cap <- cap;
+    k.keys <- keys;
+    k.ids <- ids
+
+  let intern k c =
+    let s = slot_of k.keys k.cap c in
+    if k.keys.(s) <> -1 then k.ids.(s)
+    else begin
+      if k.nodes.Grow.len >= k.max_configs then
+        raise (Too_many_configs k.max_configs);
+      let i = k.nodes.Grow.len in
+      k.keys.(s) <- c;
+      k.ids.(s) <- i;
+      Grow.push k.nodes c;
+      if 2 * i >= k.cap then grow k;
+      i
+    end
+
+  (* The finished intern table as a lookup, holding on to nothing else
+     of the kernel. *)
+  let lookup k =
+    let keys = k.keys and ids = k.ids and cap = k.cap in
+    fun c ->
+      let s = slot_of keys cap c in
+      if keys.(s) = -1 then None else Some ids.(s)
+
+  let expand k v =
+    let c = Grow.get k.nodes v in
+    let n = ref 0 in
+    for t = 0 to Array.length k.pdelta - 1 do
+      let sa = k.pre_a.(t) and sb = k.pre_b.(t) in
+      if
+        if sa = sb then (c lsr sa) land 0xff >= 2
+        else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
+      then begin
+        let c' = c + k.pdelta.(t) in
+        let dup = ref false in
+        for j = 0 to !n - 1 do
+          if k.vals.(j) = c' then dup := true
+        done;
+        if not !dup then begin
+          k.vals.(!n) <- c';
+          incr n
+        end
+      end
+    done;
+    for j = 0 to !n - 1 do
+      k.idxs.(j) <- intern k k.vals.(j)
+    done;
+    let out = sorted_succ k.idxs !n v in
+    k.edges <- k.edges + Array.length out;
+    out
+
+  let explore ?(max_configs = 2_000_000) ?deadline p c0 =
+    let k = kernel ~who:"explore" ~max_configs p c0 in
+    let succs = Grow.create [||] in
+    let progress = Obs.Progress.create "configgraph.explore" in
     Fun.protect
       ~finally:(fun () ->
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr m_explorations;
-          Obs.Metrics.incr m_packed;
-          Obs.Metrics.add m_configs configs.Grow.len;
-          Obs.Metrics.add m_edges !edges
-        end)
+        publish [ m_packed ] ~configs:k.nodes.Grow.len ~edges:(Some k.edges))
       (fun () ->
         Obs.Trace.with_span "configgraph.explore" ~cat:"verify"
           ~args:[ ("protocol", p.Population.name) ]
           (fun () ->
-            let root = intern (Mset.pack c0) in
+            let root = intern k (Mset.pack c0) in
             let i = ref 0 in
-            while !i < configs.Grow.len do
+            while !i < k.nodes.Grow.len do
               if !i land 1023 = 0 then begin
-                check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
+                check_deadline deadline ~configs:k.nodes.Grow.len ~edges:k.edges;
                 Obs.Progress.tick progress (fun () ->
                     Printf.sprintf "%d configs explored, %d discovered, %d edges"
-                      !i configs.Grow.len !edges)
+                      !i k.nodes.Grow.len k.edges)
               end;
-              let c = Grow.get configs !i in
-              let nvals = ref 0 in
-              for t = 0 to nt - 1 do
-                let sa = pre_a.(t) and sb = pre_b.(t) in
-                let enabled =
-                  if sa = sb then (c lsr sa) land 0xff >= 2
-                  else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
-                in
-                if enabled then begin
-                  let c' = c + pdelta.(t) in
-                  let dup = ref false in
-                  for k = 0 to !nvals - 1 do
-                    if vals.(k) = c' then dup := true
-                  done;
-                  if not !dup then begin
-                    vals.(!nvals) <- c';
-                    incr nvals
-                  end
-                end
-              done;
-              (* intern in first-occurrence order (fixes node numbering),
-                 then sort / dedupe / drop the self loop — mirroring the
-                 reference path's [List.sort_uniq] + self filter *)
-              let n = !nvals in
-              for k = 0 to n - 1 do
-                idxs.(k) <- intern vals.(k)
-              done;
-              (* insertion sort on the scratch (n <= nt, tiny), then one
-                 dedupe-and-drop-self pass into an exact-size array *)
-              for k = 1 to n - 1 do
-                let x = idxs.(k) in
-                let j = ref (k - 1) in
-                while !j >= 0 && idxs.(!j) > x do
-                  idxs.(!j + 1) <- idxs.(!j);
-                  decr j
-                done;
-                idxs.(!j + 1) <- x
-              done;
-              let m = ref 0 in
-              for k = 0 to n - 1 do
-                if idxs.(k) <> !i && (k = 0 || idxs.(k - 1) <> idxs.(k)) then
-                  incr m
-              done;
-              let out = Array.make !m 0 in
-              let w = ref 0 in
-              for k = 0 to n - 1 do
-                if idxs.(k) <> !i && (k = 0 || idxs.(k - 1) <> idxs.(k)) then begin
-                  out.(!w) <- idxs.(k);
-                  incr w
-                end
-              done;
-              edges := !edges + !m;
-              Grow.push succs out;
+              Grow.push succs (expand k !i);
               incr i
             done;
             Obs.Progress.finish progress (fun () ->
-                Printf.sprintf "%d configs, %d edges" configs.Grow.len !edges);
-            let lookup c =
-              let s = slot_of !keys !cap c in
-              if !keys.(s) = -1 then None else Some !ids.(s)
-            in
+                Printf.sprintf "%d configs, %d edges" k.nodes.Grow.len k.edges);
             {
               protocol = p;
-              configs = Grow.to_array configs;
+              configs = Grow.to_array k.nodes;
               succ = Grow.to_array succs;
               root;
-              lookup;
+              lookup = lookup k;
             }))
 
   let explore_sccs ?(max_configs = 2_000_000) ?deadline p c0 ~on_bottom =
-    if not (applicable p c0) then
-      invalid_arg
-        "Configgraph.Packed.explore_sccs: protocol/configuration not packable";
-    let nt = Population.num_transitions p in
-    let pre_a = Array.make nt 0 in
-    let pre_b = Array.make nt 0 in
-    let pdelta = Array.make nt 0 in
-    Array.iteri
-      (fun t { Population.pre = a, b; _ } ->
-        pre_a.(t) <- 8 * a;
-        pre_b.(t) <- 8 * b;
-        pdelta.(t) <- Mset.pack_delta (Population.displacement p t))
-      p.Population.transitions;
-    let cap = ref 256 in
-    let keys = ref (Array.make !cap (-1)) in
-    let ids = ref (Array.make !cap 0) in
-    let slot_of keys cap c =
-      let mask = cap - 1 in
-      let s = ref (hash c land mask) in
-      while
-        let k = keys.(!s) in
-        k <> -1 && k <> c
-      do
-        s := (!s + 1) land mask
-      done;
-      !s
-    in
-    let grow () =
-      let cap' = 2 * !cap in
-      let keys' = Array.make cap' (-1) in
-      let ids' = Array.make cap' 0 in
-      for s = 0 to !cap - 1 do
-        let k = !keys.(s) in
-        if k <> -1 then begin
-          let s' = slot_of keys' cap' k in
-          keys'.(s') <- k;
-          ids'.(s') <- !ids.(s)
-        end
-      done;
-      cap := cap';
-      keys := keys';
-      ids := ids'
-    in
-    let configs = Grow.create 0 in
-    let edges = ref 0 in
+    let k = kernel ~who:"explore_sccs" ~max_configs p c0 in
     let sccs = ref 0 in
     let progress = Obs.Progress.create "configgraph.explore_sccs" in
-    let intern c =
-      let s = slot_of !keys !cap c in
-      if !keys.(s) <> -1 then !ids.(s)
-      else begin
-        if configs.Grow.len >= max_configs then
-          raise (Too_many_configs max_configs);
-        let i = configs.Grow.len in
-        !keys.(s) <- c;
-        !ids.(s) <- i;
-        Grow.push configs c;
-        if 2 * i >= !cap then grow ();
-        i
-      end
-    in
-    let vals = Array.make (Stdlib.max 1 nt) 0 in
-    let idxs = Array.make (Stdlib.max 1 nt) 0 in
     let expand v =
       if v land 1023 = 0 then begin
-        check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
+        check_deadline deadline ~configs:k.nodes.Grow.len ~edges:k.edges;
         Obs.Progress.tick progress (fun () ->
             Printf.sprintf "%d configs discovered, %d edges, %d sccs"
-              configs.Grow.len !edges !sccs)
+              k.nodes.Grow.len k.edges !sccs)
       end;
-      let c = Grow.get configs v in
-      let nvals = ref 0 in
-      for t = 0 to nt - 1 do
-        let sa = pre_a.(t) and sb = pre_b.(t) in
-        let enabled =
-          if sa = sb then (c lsr sa) land 0xff >= 2
-          else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
-        in
-        if enabled then begin
-          let c' = c + pdelta.(t) in
-          let dup = ref false in
-          for k = 0 to !nvals - 1 do
-            if vals.(k) = c' then dup := true
-          done;
-          if not !dup then begin
-            vals.(!nvals) <- c';
-            incr nvals
-          end
-        end
-      done;
-      let n = !nvals in
-      for k = 0 to n - 1 do
-        idxs.(k) <- intern vals.(k)
-      done;
-      for k = 1 to n - 1 do
-        let x = idxs.(k) in
-        let j = ref (k - 1) in
-        while !j >= 0 && idxs.(!j) > x do
-          idxs.(!j + 1) <- idxs.(!j);
-          decr j
-        done;
-        idxs.(!j + 1) <- x
-      done;
-      let m = ref 0 in
-      for k = 0 to n - 1 do
-        if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then incr m
-      done;
-      let out = Array.make !m 0 in
-      let w = ref 0 in
-      for k = 0 to n - 1 do
-        if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then begin
-          out.(!w) <- idxs.(k);
-          incr w
-        end
-      done;
-      edges := !edges + !m;
-      out
+      expand k v
     in
     Fun.protect
       ~finally:(fun () ->
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr m_explorations;
-          Obs.Metrics.incr m_packed;
-          Obs.Metrics.incr m_lazy;
-          Obs.Metrics.add m_configs configs.Grow.len;
-          Obs.Metrics.add m_edges !edges
-        end)
+        publish [ m_packed; m_lazy ] ~configs:k.nodes.Grow.len
+          ~edges:(Some k.edges))
       (fun () ->
         Obs.Trace.with_span "configgraph.explore_sccs" ~cat:"verify"
           ~args:[ ("protocol", p.Population.name) ]
           (fun () ->
-            ignore (intern (Mset.pack c0));
+            ignore (intern k (Mset.pack c0));
             sccs :=
               lazy_sccs ~expand ~on_bottom:(fun members ->
-                  on_bottom (List.map (Grow.get configs) members));
+                  on_bottom (List.map (Grow.get k.nodes) members));
             Obs.Progress.finish progress (fun () ->
-                Printf.sprintf "%d configs, %d edges, %d sccs" configs.Grow.len
-                  !edges !sccs);
+                Printf.sprintf "%d configs, %d edges, %d sccs" k.nodes.Grow.len
+                  k.edges !sccs);
             !sccs))
 end

@@ -18,7 +18,8 @@ type t = private {
 }
 
 exception Too_many_configs of int
-(** Raised by {!explore} when the exploration exceeds its node budget. *)
+(** Raised by {!explore}, {!explore_sccs} and {!search} when the
+    exploration needs more nodes than its budget. *)
 
 val explore :
   ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t -> Mset.t -> t
@@ -28,6 +29,26 @@ val explore :
     @raise Obs.Budget.Exceeded if [deadline] expires mid-exploration
     (checked every 256 nodes); the exception reports the configs/edges
     consumed so far. *)
+
+val search :
+  ?max_configs:int -> Population.t -> Mset.t -> (Mset.t -> bool) -> Mset.t option
+(** [search p c0 pred] is the first configuration reachable from [c0]
+    that satisfies [pred], in {!explore}'s BFS discovery order: the
+    first element of [(explore p c0).configs] satisfying [pred], or
+    [None] if no reachable configuration does. Every node is checked
+    the moment it is discovered, [c0] first, and the walk stops at the
+    first match; it keeps no successor arrays.
+
+    The budget counts discovered nodes as in {!explore} (default
+    2_000_000), so a match found among the first [max_configs] nodes is
+    returned even when the whole graph is larger.
+    @raise Too_many_configs only when the budget runs out before a
+    match.
+
+    Publishes [configgraph.explorations] and [configgraph.configs] (the
+    nodes actually discovered, the match included) but no
+    [configgraph.edges]: the walk stops mid-node, so it has no edge
+    count comparable to {!explore}'s. *)
 
 val explore_sccs :
   ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t ->
@@ -56,11 +77,6 @@ val reachable_from : t -> int -> bool array
 val can_reach : t -> src:int -> (Mset.t -> bool) -> bool
 (** Does some configuration satisfying the predicate lie in the forward
     closure of [src]? *)
-
-val can_reach_config : t -> src:int -> Mset.t -> bool
-(** [can_reach_config g ~src c]: is the {e known} target configuration
-    [c] in the forward closure of [src]? One O(1) index probe plus a
-    graph traversal — no per-node predicate scan. *)
 
 (** Packed fast path: when the protocol has at most
     [Mset.max_packed_dim] states and the population at most

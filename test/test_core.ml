@@ -262,6 +262,20 @@ let test_bb_n1 () =
   Alcotest.(check int) "two protocols" 2 r.Busy_beaver.num_protocols;
   Alcotest.(check int) "best eta" 2 r.Busy_beaver.best_eta
 
+(* decode builds the name from per-n tables; it must stay the
+   [bb-<n>-<assignment>-<output_bits>] string that bbsearch prints *)
+let decode_name_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"decoded protocol names and states" ~count:200
+       QCheck.(pair (int_range 1 4) (pair (int_range 0 max_int) (int_range 0 15)))
+       (fun (n, (a, o)) ->
+         let np = n * (n + 1) / 2 in
+         let rec pow e = if e = 0 then 1 else np * pow (e - 1) in
+         let assignment = a mod pow np and output_bits = o mod (1 lsl n) in
+         let p = Busy_beaver.protocol_of_code ~n ~assignment ~output_bits in
+         p.Population.name = Printf.sprintf "bb-%d-%d-%d" n assignment output_bits
+         && p.Population.states = Array.init n (Printf.sprintf "q%d")))
+
 let test_bb_n2 () =
   let r = Busy_beaver.scan ~n:2 ~max_input:10 () in
   Alcotest.(check int) "protocol count" 108 r.Busy_beaver.num_protocols;
@@ -376,6 +390,7 @@ let () =
           Alcotest.test_case "n=2" `Quick test_bb_n2;
           Alcotest.test_case "n=3 sampled" `Quick test_bb_sampled_n3;
           Alcotest.test_case "protocol counts" `Quick test_bb_counts;
+          decode_name_prop;
         ] );
       ( "section-4-1",
         [

@@ -238,7 +238,7 @@ let stable_closed_under_steps_prop =
           || (Population.output_of_config p c = Some b
               && List.for_all
                    (fun c' -> Stable_sets.is_stable a b c')
-                   (Population.distinct_successors p c)))
+                   (List.map snd (Population.successors p c))))
         [ false; true ])
 
 let hilbert_minimal_prop =

@@ -46,6 +46,98 @@ let explore_size_prop =
          let g = Configgraph.explore p (Population.initial_single p n) in
          Array.for_all (fun c -> Mset.size c = n) g.Configgraph.configs))
 
+(* -- Configgraph.search ------------------------------------------------------ *)
+
+(* [search] is the first configuration of [explore]'s discovery order
+   that satisfies the predicate, and finds one exactly when [can_reach]
+   does; checked on random protocols up to 8 states (past the packed
+   limit of 7), nondeterministic ones and ones with leaders. *)
+let first_match (g : Configgraph.t) pred =
+  let rec go i =
+    if i >= Configgraph.num_configs g then None
+    else if pred g.Configgraph.configs.(i) then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let random_search_case seed states det leaders input =
+  (* 2..8 states, 0..2 leaders, input 2..6: mapped here rather than by
+     the generator, so shrinking stays inside the valid ranges *)
+  let config =
+    { Protocol_gen.default with
+      num_states = 2 + (states mod 7); deterministic = det;
+      leaders = leaders mod 3; extra_transitions = 3 }
+  in
+  let p = Protocol_gen.generate ~config ~seed () in
+  let c0 = Population.initial_config p [| 2 + (input mod 5) |] in
+  (p, c0, Configgraph.explore p c0)
+
+(* the three predicates: All_1, covering a target, one reachable config *)
+let search_preds p (g : Configgraph.t) pick =
+  let d = Population.num_states p in
+  let target = Mset.of_list d [ (pick mod d, 1 + (pick mod 2)) ] in
+  let member = g.Configgraph.configs.(pick mod Configgraph.num_configs g) in
+  [
+    ("All_1", fun c -> Population.output_of_config p c = Some true);
+    ("covers", Mset.leq target);
+    ("member", Mset.equal member);
+  ]
+
+let search_case_gen =
+  QCheck.(
+    pair
+      (quad (int_bound 100_000) (int_bound 6) bool (int_bound 2))
+      (pair (int_bound 6) (int_bound 1_000)))
+
+let search_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"search = first match of explore, iff can_reach"
+       ~count:150 search_case_gen
+       (fun ((seed, states, det, leaders), (input, pick)) ->
+         let p, c0, g = random_search_case seed states det leaders input in
+         List.for_all
+           (fun (_, pred) ->
+             let found = Configgraph.search p c0 pred in
+             let expected =
+               Option.map (fun i -> g.Configgraph.configs.(i)) (first_match g pred)
+             in
+             Option.equal Mset.equal found expected
+             && Option.is_some found
+                = Configgraph.can_reach g ~src:g.Configgraph.root pred)
+           (search_preds p g pick)))
+
+(* with a budget of [m] nodes, a match among the first [m] discovered
+   is returned; past that the search raises, unless the whole graph
+   fits and has no match *)
+let search_budget_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"search budget: match inside, raise outside"
+       ~count:150
+       QCheck.(pair search_case_gen (int_bound 39))
+       (fun (((seed, states, det, leaders), (input, pick)), m) ->
+         let m = m + 1 in
+         let p, c0, g = random_search_case seed states det leaders input in
+         List.for_all
+           (fun (_, pred) ->
+             let outcome =
+               match Configgraph.search ~max_configs:m p c0 pred with
+               | r -> `Found r
+               | exception Configgraph.Too_many_configs k -> `Raised k
+             in
+             match first_match g pred with
+             | Some i when i < m -> outcome = `Found (Some g.Configgraph.configs.(i))
+             | _ when Configgraph.num_configs g > m -> outcome = `Raised m
+             | _ -> outcome = `Found None)
+           (search_preds p g pick)))
+
+let test_search_budget () =
+  let p = Flock.succinct 3 in
+  let c0 = Population.initial_single p 12 in
+  Alcotest.(check bool) "root matches inside any budget" true
+    (Configgraph.search ~max_configs:1 p c0 (Mset.equal c0) = Some c0);
+  Alcotest.check_raises "budget runs out first" (Configgraph.Too_many_configs 5)
+    (fun () -> ignore (Configgraph.search ~max_configs:5 p c0 (fun _ -> false)))
+
 (* -- Packed fast path ------------------------------------------------------ *)
 
 (* the packed exploration is the same graph, index for index *)
@@ -330,6 +422,12 @@ let () =
           Alcotest.test_case "budget" `Quick test_explore_budget;
           Alcotest.test_case "find and reach" `Quick test_find_and_reach;
           explore_size_prop;
+        ] );
+      ( "search",
+        [
+          Alcotest.test_case "budget" `Quick test_search_budget;
+          search_prop;
+          search_budget_prop;
         ] );
       ( "packed",
         [
