@@ -358,15 +358,15 @@ let e7d () =
             (* telemetry off explicitly: the bench harness's own metric
                registry being enabled must not flip the default on and
                contaminate the plain rows *)
-            Distributed_scan.coordinate ~workers ~telemetry:false ~plan ())
+            Dist.Distributed_scan.coordinate ~workers ~telemetry:false ~plan ())
       in
       let w0 = match !base with Some w -> w | None -> base := Some wall; wall in
       if workers = 4 then w4 := wall;
       row "%-9d %-10.2f %-10.2f %-8d %-7d %-6d %b\n" workers wall (w0 /. wall)
-        o.Distributed_scan.stats.Dist.Coordinator.chunks_done
-        o.Distributed_scan.stats.Dist.Coordinator.workers_seen
-        o.Distributed_scan.stats.Dist.Coordinator.workers_lost
-        (aggregates o.Distributed_scan.result = aggregates reference))
+        o.Dist.Distributed_scan.stats.Dist.Coordinator.chunks_done
+        o.Dist.Distributed_scan.stats.Dist.Coordinator.workers_seen
+        o.Dist.Distributed_scan.stats.Dist.Coordinator.workers_lost
+        (aggregates o.Dist.Distributed_scan.result = aggregates reference))
     [ 1; 2; 4 ];
   (* the fleet telemetry plane, on: metric deltas on every heartbeat,
      batched event forwarding into one merged log, per-worker registry
@@ -383,9 +383,9 @@ let e7d () =
            ~finally:(fun () -> Obs.Events.stop ())
            (fun () ->
              time (fun () ->
-                 Distributed_scan.coordinate ~workers:4 ~telemetry:true ~plan ()))
+                 Dist.Distributed_scan.coordinate ~workers:4 ~telemetry:true ~plan ()))
        in
-       let s = o.Distributed_scan.stats in
+       let s = o.Dist.Distributed_scan.stats in
        row "\n4 workers with fleet telemetry (heartbeat metric deltas + merged \
             events):\n";
        row
@@ -395,23 +395,23 @@ let e7d () =
          (if !w4 > 0.0 then wall /. !w4 else 0.0)
          s.Dist.Coordinator.events_forwarded
          (List.length s.Dist.Coordinator.fleet)
-         (aggregates o.Distributed_scan.result = aggregates reference)));
+         (aggregates o.Dist.Distributed_scan.result = aggregates reference)));
   (* fault injection: worker 0 of 3 SIGKILLs itself after 2 chunks; its
      leased chunks go back to the pool and the merged result must still
      be identical *)
   let plan = Busy_beaver.plan ~n:3 ~sample:(30_000, 5) () in
   let o, wall =
     time (fun () ->
-        Distributed_scan.coordinate ~workers:3 ~chaos_kill:(0, 2)
+        Dist.Distributed_scan.coordinate ~workers:3 ~chaos_kill:(0, 2)
           ~telemetry:false ~plan ())
   in
-  let s = o.Distributed_scan.stats in
+  let s = o.Dist.Distributed_scan.stats in
   row "\nkill 1 of 3 workers after 2 chunks:\n";
   row "  wall %.2fs   lost=%d   reassigned=%d   recovered=%b   identical=%b\n"
     wall s.Dist.Coordinator.workers_lost s.Dist.Coordinator.reassigned
     (s.Dist.Coordinator.workers_lost = 1
      && not s.Dist.Coordinator.interrupted)
-    (aggregates o.Distributed_scan.result = aggregates reference);
+    (aggregates o.Dist.Distributed_scan.result = aggregates reference);
   (* network fault injection: every frame on every connection passes
      through the seeded chaos shim on both sides — drops, duplicates,
      delays, truncations, bit flips, all within a finite per-connection
@@ -425,17 +425,17 @@ let e7d () =
    in
    let o, wall =
      time (fun () ->
-         Distributed_scan.coordinate ~workers:3 ~heartbeat_timeout:1.0
+         Dist.Distributed_scan.coordinate ~workers:3 ~heartbeat_timeout:1.0
            ~telemetry:false ~chaos_net:spec ~plan ())
    in
-   let s = o.Distributed_scan.stats in
+   let s = o.Dist.Distributed_scan.stats in
    row "\n3 workers under --chaos-net wild:5 (seeded frame faults, both sides):\n";
    row
      "  wall %.2fs   corrupt_frames=%d   rejoins=%d   reassigned=%d   \
       identical=%b\n"
      wall s.Dist.Coordinator.corrupt_frames s.Dist.Coordinator.rejoins
      s.Dist.Coordinator.reassigned
-     (aggregates o.Distributed_scan.result = aggregates reference));
+     (aggregates o.Dist.Distributed_scan.result = aggregates reference));
   (* coordinator crash recovery: the first life checkpoints every chunk
      and is stopped mid-scan; the second life resumes from the lease
      ledger, bumps the epoch, and finishes only the remaining chunks.
@@ -451,7 +451,7 @@ let e7d () =
       let base_restarts = Obs.Metrics.value m_restarts in
       let o1, w_first =
         time (fun () ->
-            Distributed_scan.coordinate ~workers:3 ~telemetry:false
+            Dist.Distributed_scan.coordinate ~workers:3 ~telemetry:false
               ~checkpoint:ckpt ~checkpoint_every_chunks:1
               ~should_stop:(fun () ->
                 Obs.Metrics.value m_done - base_done >= 4)
@@ -459,17 +459,17 @@ let e7d () =
       in
       let o2, w_second =
         time (fun () ->
-            Distributed_scan.coordinate ~workers:3 ~telemetry:false
+            Dist.Distributed_scan.coordinate ~workers:3 ~telemetry:false
               ~checkpoint:ckpt ~checkpoint_every_chunks:1 ~resume:true ~plan ())
       in
       row "\ncoordinator stopped after %d chunks, restarted with --resume:\n"
-        o1.Distributed_scan.stats.Dist.Coordinator.chunks_done;
+        o1.Dist.Distributed_scan.stats.Dist.Coordinator.chunks_done;
       row
         "  first life %.2fs + recovery %.2fs = %.2fs   restarts=%d   \
          identical=%b\n"
         w_first w_second (w_first +. w_second)
         (Obs.Metrics.value m_restarts - base_restarts)
-        (aggregates o2.Distributed_scan.result = aggregates reference))
+        (aggregates o2.Dist.Distributed_scan.result = aggregates reference))
 
 (* ------------------------------------------------------------------ E8 *)
 

@@ -50,7 +50,7 @@ let run_worker (host, port) chaos_kill chaos_net heartbeat_timeout =
     Option.map (fun t -> Float.min 2.0 (t /. 4.0)) heartbeat_timeout
   in
   match
-    Distributed_scan.connect_worker ?heartbeat_every ?chaos_kill ?chaos_net
+    Dist.Distributed_scan.connect_worker ?heartbeat_every ?chaos_kill ?chaos_net
       ~host ~port ()
   with
   | Ok () -> 0
@@ -85,7 +85,7 @@ let run n max_input sample seed jobs chunk schedule no_prune no_packed
                 ?eta_budget_s:eta_budget ~max_input ~n ()
             in
             let serve_fd =
-              Option.map (fun port -> Distributed_scan.listen ~port ()) serve
+              Option.map (fun port -> Dist.Distributed_scan.listen ~port ()) serve
             in
             let chaos =
               Option.map (fun k -> (chaos_worker, k)) chaos_kill
@@ -98,13 +98,13 @@ let run n max_input sample seed jobs chunk schedule no_prune no_packed
                   | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
                   | None -> ())
                 (fun () ->
-                  Distributed_scan.coordinate ~workers ?serve:serve_fd
+                  Dist.Distributed_scan.coordinate ~workers ?serve:serve_fd
                     ?heartbeat_timeout ?checkpoint
                     ~checkpoint_every_chunks:ckpt_chunks
                     ~checkpoint_every_s:ckpt_secs ~resume ?chaos_kill:chaos
                     ?chaos_net ~plan ())
             in
-            let s = o.Distributed_scan.stats in
+            let s = o.Dist.Distributed_scan.stats in
             (* stderr, so the stdout report stays byte-identical to a
                single-process run; CI greps "workers seen, N lost", so
                new fields only ever append *)
@@ -116,7 +116,7 @@ let run n max_input sample seed jobs chunk schedule no_prune no_packed
               s.Dist.Coordinator.chunks_done s.Dist.Coordinator.reassigned
               s.Dist.Coordinator.stale_dropped s.Dist.Coordinator.rejoins
               s.Dist.Coordinator.corrupt_frames;
-            o.Distributed_scan.result
+            o.Dist.Distributed_scan.result
           end
           else
             Busy_beaver.scan ?sample ~jobs ~chunk ~schedule

@@ -1,6 +1,6 @@
 (* ppreport: the run-history, regression and trace-analytics toolkit
-   over the JSON the bench harness and the obs layer emit (ppbench/v1
-   and /v2, Chrome trace-event files).
+   over the JSON the bench harness and the obs layer emit (ppbench/v2,
+   Chrome trace-event files).
 
      ppreport diff BENCH_results.json bench-new.json
      ppreport history --ledger bench/history --markdown

@@ -10,7 +10,7 @@
    previous snapshot and appends to in-memory series rendered as
    sparklines. --once prints a single frame without ANSI control
    sequences (CI, scripting). --fleet adds the per-worker table that a
-   telemetry-on coordinator publishes in its ppmetrics/v2 snapshots. *)
+   telemetry-on coordinator publishes in its snapshots. *)
 
 let hist_len = 48
 let stale_after_s = 10.0
@@ -109,7 +109,7 @@ let number f =
 let render_fleet buf ~prev ~cur ~dt =
   if cur.workers = [] then
     Buffer.add_string buf
-      "\n(no workers section — telemetry off, or a ppmetrics/v1 writer)\n"
+      "\n(no workers — telemetry off, or none has joined yet)\n"
   else begin
     Printf.bprintf buf "\n%-24s %-12s %7s %8s %7s %7s %9s %6s  %s\n" "WORKER"
       "host" "chunks" "chunks/s" "leased" "events" "offset" "seen" "";

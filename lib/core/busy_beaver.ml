@@ -637,7 +637,7 @@ let merge_partials plan partials ~completed ~interrupted ~task_errors =
       task_errors;
     } )
 
-let result_of_chunks ?(interrupted = false) ?(task_errors = 0) plan chunks =
+let result_of_chunks ?(interrupted = false) plan chunks =
   if Array.length chunks <> plan_chunks plan then
     invalid_arg
       (Printf.sprintf "Busy_beaver.result_of_chunks: %d chunk slots, plan has %d"
@@ -661,7 +661,7 @@ let result_of_chunks ?(interrupted = false) ?(task_errors = 0) plan chunks =
   in
   snd
     (merge_partials plan partials ~completed:!completed ~interrupted
-       ~task_errors)
+       ~task_errors:0)
 
 (* --------------------------------------------------------------- scan *)
 

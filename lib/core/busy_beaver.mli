@@ -161,14 +161,11 @@ val scan_chunk : plan -> int -> Obs.Json.t
     process. *)
 
 val result_of_chunks :
-  ?interrupted:bool ->
-  ?task_errors:int ->
-  plan ->
-  Obs.Json.t option array ->
-  scan_result
+  ?interrupted:bool -> plan -> Obs.Json.t option array -> scan_result
 (** Merge one accumulator slot per chunk ([None] = chunk not run) in
-    index order. With every slot filled by {!scan_chunk} output, the
-    result equals the [scan ~jobs:1] result byte for byte.
+    index order; [task_errors] is 0. With every slot filled by
+    {!scan_chunk} output, the result equals the [scan ~jobs:1] result
+    byte for byte.
     @raise Invalid_argument on a malformed accumulator or a slot-count
     mismatch. *)
 

@@ -20,9 +20,13 @@ let enabled_non_identity p c =
     (fun t -> (not (is_identity p t)) && Population.enabled p c t)
     (List.init (Population.num_transitions p) Fun.id)
 
+(* Budgets: steps per random walk, and the largest saturation scale. *)
+let max_walk = 200_000
+let max_m = 64
+
 (* Random walk recording its trace; stops at the first configuration
    satisfying [accept], or at a fixpoint, or after [max_walk] steps. *)
-let walk_to ~rng ~max_walk p c0 accept =
+let walk_to ~rng p c0 accept =
   let rec go c trace steps =
     match accept c with
     | Some payload -> Some (List.rev trace, c, payload)
@@ -43,7 +47,7 @@ let omega_coords v =
     (fun q -> match Omega_vec.get v q with Omega_vec.Omega -> true | _ -> false)
     (List.init (Omega_vec.dim v) Fun.id)
 
-let construct ?(seed = 1) ?(max_walk = 200_000) ?(max_m = 64) p =
+let construct ?(seed = 1) p =
   if not (Population.is_leaderless p) then Error "leaderless protocols only"
   else begin
     match Saturation.find p with
@@ -87,7 +91,7 @@ let construct ?(seed = 1) ?(max_walk = 200_000) ?(max_m = 64) p =
             Error "no compatible stable configuration found within the scale budget"
           else begin
             let d_config = Mset.scale m w.Saturation.result in
-            match walk_to ~rng ~max_walk p d_config (accept m) with
+            match walk_to ~rng p d_config (accept m) with
             | Some (trace, stable_target, (v, theta, b, d_b)) ->
               Ok
                 {

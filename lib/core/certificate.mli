@@ -28,16 +28,11 @@ type t = {
   d_b : Mset.t;               (** result of [θ]; supported on [S] *)
 }
 
-val construct :
-  ?seed:int ->
-  ?max_walk:int ->
-  ?max_m:int ->
-  Population.t ->
-  (t, string) result
+val construct : ?seed:int -> Population.t -> (t, string) result
 (** Runs the pipeline: saturation, stable sets, Pottier basis, then for
-    increasing scales [m] a fair random walk from [D] to a stable
-    configuration compatible with some basis element and basis
-    multiset. *)
+    increasing scales [m] up to 64 a fair random walk (at most 200,000
+    steps) from [D] to a stable configuration compatible with some
+    basis element and basis multiset. *)
 
 val check : t -> bool
 (** Re-validates the full certificate: replays the scaled saturation

@@ -1,11 +1,11 @@
 (* A worker's entire scan comes from the coordinator's config bytes —
-   see Dist.Worker. *)
+   see Worker. *)
 let worker_runner config =
   match Busy_beaver.plan_of_config config with
   | Ok plan ->
     Ok
       {
-        Dist.Worker.scan = Busy_beaver.scan_chunk plan;
+        Worker.scan = Busy_beaver.scan_chunk plan;
         range = Some (Busy_beaver.plan_chunk_range plan);
       }
   | Error e -> Error e
@@ -17,12 +17,12 @@ let ignore_sigpipe () =
 
 type outcome = {
   result : Busy_beaver.scan_result;
-  stats : Dist.Coordinator.stats;
+  stats : Coordinator.stats;
 }
 
 let m_restarts = Obs.Metrics.counter "coordinator.restarts"
 
-(* Same open-or-resume logic as Busy_beaver.scan, plus the v2 adoption
+(* Same open-or-resume logic as Busy_beaver.scan, plus the adoption
    step: bump the epoch and persist it *before* any grant goes out, so
    grants of a previous (crashed) coordinator can never be mistaken for
    this run's. Every recovery step leaves an events/metrics trail:
@@ -88,7 +88,7 @@ let open_ledger ~path ~resume ~config_json ~num_chunks =
 let child_chaos ~chaos_net ~idx =
   match chaos_net with
   | None -> None
-  | Some spec -> Some (Dist.Chaos.create spec ~conn:(10_000 + idx))
+  | Some spec -> Some (Chaos.create spec ~conn:(10_000 + idx))
 
 let child_main ~idx ~chaos_kill ~chaos_net ~heartbeat_timeout ~fd =
   (* the inherited trace/events/export channels (buffers included)
@@ -120,7 +120,7 @@ let child_main ~idx ~chaos_kill ~chaos_net ~heartbeat_timeout ~fd =
     Float.min 5.0 (Float.max 0.25 (heartbeat_timeout /. 2.0))
   in
   match
-    Dist.Worker.run ~heartbeat_every ~welcome_timeout
+    Worker.run ~heartbeat_every ~welcome_timeout
       ?chaos:(child_chaos ~chaos_net ~idx) ~on_chunk_done ~name ~fd
       ~runner:worker_runner ()
   with
@@ -253,7 +253,7 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
               ("chunks", string_of_int num_chunks);
             ]
           (fun () ->
-            Dist.Coordinator.run ?accept:serve
+            Coordinator.run ?accept:serve
               ~fds:(Array.to_list (Array.map fst pairs))
               ~heartbeat_timeout ~max_batch ?chaos:chaos_net
               ~should_stop:stop_requested
@@ -265,7 +265,7 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
   in
   let result =
     Busy_beaver.result_of_chunks
-      ~interrupted:stats.Dist.Coordinator.interrupted plan slots
+      ~interrupted:stats.Coordinator.interrupted plan slots
   in
   { result; stats }
 
@@ -319,13 +319,13 @@ let connect_worker ?name ?heartbeat_every ?chaos_kill ?chaos_net
     (* the session layer owns the fds; the chunk cache rides across
        sessions so a Result lost to a dying connection is resent, not
        recomputed, once the redial's rejoin handshake lands *)
-    Dist.Worker.run_reconnect ?heartbeat_every ?max_attempts ?backoff_base
+    Worker.run_reconnect ?heartbeat_every ?max_attempts ?backoff_base
       ~jitter_seed:(Hashtbl.hash (host, port))
       ?chaos_for:
         (match chaos_net with
          | None -> None
          | Some spec ->
-           Some (fun session -> Some (Dist.Chaos.create spec ~conn:(20_000 + session))))
+           Some (fun session -> Some (Chaos.create spec ~conn:(20_000 + session))))
       ~on_chunk_done ~name ~connect ~runner:worker_runner ()
   else
     match connect () with
@@ -334,10 +334,10 @@ let connect_worker ?name ?heartbeat_every ?chaos_kill ?chaos_net
       let chaos =
         match chaos_net with
         | None -> None
-        | Some spec -> Some (Dist.Chaos.create spec ~conn:20_000)
+        | Some spec -> Some (Chaos.create spec ~conn:20_000)
       in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          Dist.Worker.run ?heartbeat_every ?chaos ~on_chunk_done ~name ~fd
+          Worker.run ?heartbeat_every ?chaos ~on_chunk_done ~name ~fd
             ~runner:worker_runner ())

@@ -7,7 +7,7 @@
     The fault story is the whole point: a worker that dies (crash,
     SIGKILL, unplugged machine) merely returns its leased chunks to the
     pool; the survivors re-run them. The shared {!Obs.Checkpoint}
-    ledger (v2) persists completed chunks {e and} the live lease table,
+    ledger persists completed chunks {e and} the live lease table,
     so a killed {e coordinator} resumes too — it bumps the ledger's
     epoch on adoption, which makes any result from a previous life's
     grant recognisably stale.
@@ -19,7 +19,7 @@
 
 type outcome = {
   result : Busy_beaver.scan_result;
-  stats : Dist.Coordinator.stats;
+  stats : Coordinator.stats;
 }
 
 val coordinate :
@@ -33,7 +33,7 @@ val coordinate :
   ?resume:bool ->
   ?should_stop:(unit -> bool) ->
   ?chaos_kill:int * int ->
-  ?chaos_net:Dist.Chaos.spec ->
+  ?chaos_net:Chaos.spec ->
   ?telemetry:bool ->
   plan:Busy_beaver.plan ->
   unit ->
@@ -49,7 +49,7 @@ val coordinate :
 
     [checkpoint]/[resume] work as in {!Busy_beaver.scan} — same file,
     same fingerprint, same {!Obs.Checkpoint.Mismatch} on a flag change
-    — plus the v2 extras: the epoch is bumped (and persisted) when the
+    — plus the ledger extras: the epoch is bumped (and persisted) when the
     ledger is adopted, and every snapshot carries the live lease
     table. [should_stop] (polled alongside {!Obs.Shutdown.requested})
     drains the scan early with [result.interrupted] set.
@@ -64,7 +64,7 @@ val coordinate :
     chunks — exercising EOF detection, lease reassignment and the
     byte-identity of the merged result under a real mid-scan crash.
     [chaos_net] arms deterministic {e transport} fault injection
-    ({!Dist.Chaos}) on both sides of every connection: the coordinator
+    ({!Chaos}) on both sides of every connection: the coordinator
     mangles its outbound frames and each forked child mangles its own,
     all on independent Splitmix64 substreams of the spec's seed — the
     same spec replays the same fault schedule. The scan rides it out
@@ -76,9 +76,9 @@ val coordinate :
     [coordinator.restarts] metric; leases stamped by earlier epochs
     are cleared on adoption.
 
-    [telemetry] is passed through to {!Dist.Coordinator.run}: workers
+    [telemetry] is passed through to {!Coordinator.run}: workers
     stream metric deltas and event batches up, the coordinator merges
-    them into its {!Obs.Export} snapshots ([ppmetrics/v2] fleet
+    them into its {!Obs.Export} snapshots (the [workers]
     section) and its ppevents log (offset-aligned, worker-tagged).
     Defaults to on exactly when a local observability sink is live;
     either way the scan result is byte-identical. Forked children
@@ -95,7 +95,7 @@ val connect_worker :
   ?name:string ->
   ?heartbeat_every:float ->
   ?chaos_kill:int ->
-  ?chaos_net:Dist.Chaos.spec ->
+  ?chaos_net:Chaos.spec ->
   ?reconnect:bool ->
   ?max_attempts:int ->
   ?backoff_base:float ->
@@ -104,13 +104,13 @@ val connect_worker :
   unit ->
   (unit, string) result
 (** Join a coordinator at [host:port] as a TCP worker and serve chunks
-    until its {!Dist.Wire.Shutdown}. [name] defaults to
+    until its {!Wire.Shutdown}. [name] defaults to
     ["<hostname>-<pid>"]. [chaos_kill:k] SIGKILLs the process after
     [k] chunks (tests); [chaos_net] mangles this side's outbound
-    frames deterministically ({!Dist.Chaos}).
+    frames deterministically ({!Chaos}).
 
     [reconnect] (default true) redials through
-    {!Dist.Worker.run_reconnect} when the connection drops — or was
+    {!Worker.run_reconnect} when the connection drops — or was
     never up — with exponential backoff and deterministic jitter, up
     to [max_attempts] (default 6) consecutive failures, keeping the
     same worker identity and its computed-chunk cache across sessions:

@@ -77,10 +77,10 @@ let sample w ~sent_s ~now =
 let join t ~worker ~host ~pid ~sent_s ~now =
   with_lock t (fun () ->
       let w = get t worker ~now in
-      if host <> "" then w.w_host <- host;
-      if pid <> 0 then w.w_pid <- pid;
+      w.w_host <- host;
+      w.w_pid <- pid;
       w.w_last_seen_s <- now;
-      match sent_s with Some s -> sample w ~sent_s:s ~now | None -> ())
+      sample w ~sent_s ~now)
 
 let seen t ~worker ~now =
   with_lock t (fun () -> (get t worker ~now).w_last_seen_s <- now)
@@ -89,7 +89,7 @@ let heartbeat t ~worker ~sent_s ~metrics ~now =
   with_lock t (fun () ->
       let w = get t worker ~now in
       w.w_last_seen_s <- now;
-      (match sent_s with Some s -> sample w ~sent_s:s ~now | None -> ());
+      sample w ~sent_s ~now;
       match metrics with
       | None -> ()
       | Some j -> (

@@ -19,40 +19,29 @@
     results stamped with a previous life's epoch are recognisably stale
     and dropped (see {!Obs.Checkpoint}).
 
-    {b v3 framing.} Each line is ["#3 <len> <crc32-hex> <payload>\n"]
-    where [payload] is the v2 JSON object, [len] its byte length and
-    the checksum CRC-32 (IEEE 802.3, {!crc32}). A frame that fails
-    either check — truncated mid-line, bit-flipped in transit — is
-    {e counted} ([dist.corrupt_frames], {!corrupt_count}) and skipped,
-    never fatal: whatever it carried is replaced by the recovery
-    machinery above the wire (lease reclaim for a lost [Grant]/
-    [Result], the next beat for a lost [Heartbeat]).
-
-    {b Version compatibility} is two-way. Readers accept bare v1/v2
-    JSON lines alongside v3 frames (['#'] cannot open a JSON value, so
-    the two are unambiguous) with the same field- and kind-lenient
-    decoding as before: unknown fields skipped, v2 additions defaulted,
-    unknown kinds surfaced as {!Unknown}. An unparseable {e bare} line
-    keeps the strict {!Protocol_error} contract on a v1/v2-only
-    connection, but on a connection that has already produced a valid
-    v3 frame it is demoted to a corrupt-frame count — a mangled frame
-    prefix, not a broken peer. *)
+    {b Framing.} Each line is ["#3 <len> <crc32-hex> <payload>\n"]
+    where [payload] is the JSON object of {!to_json}, [len] its byte
+    length and the checksum CRC-32 (IEEE 802.3, {!crc32}). A line that
+    does not start with ["#3 "] or fails either check — truncated
+    mid-line, bit-flipped in transit — is {e counted}
+    ([dist.corrupt_frames], {!corrupt_count}) and skipped, never fatal:
+    whatever it carried is replaced by the recovery machinery above the
+    wire (lease reclaim for a lost [Grant]/[Result], the next beat for
+    a lost [Heartbeat]). Every field {!to_json} writes is required when
+    decoding; fields it does not know are ignored. *)
 
 type msg =
-  | Hello of { worker : string; pid : int; host : string; sent_s : float option }
-      (** [host]/[sent_s] are v2: the worker's hostname and its
-          absolute monotonic-clock send time, the first clock-offset
-          sample. A v1 Hello decodes with [host = ""], [sent_s =
-          None]. *)
+  | Hello of { worker : string; pid : int; host : string; sent_s : float }
+      (** [host] is the worker's hostname and [sent_s] its absolute
+          monotonic-clock send time, the first clock-offset sample. *)
   | Welcome of {
       config : Obs.Json.t;  (** the full scan configuration object *)
       config_hash : string;
       epoch : int;
       total_chunks : int;
       telemetry : bool;
-          (** v2: the coordinator wants metric deltas on heartbeats and
-              batched {!Events}. Encoded only when true, so a false
-              Welcome is byte-identical to v1. *)
+          (** the coordinator wants metric deltas on heartbeats and
+              batched {!Events} *)
     }
   | Grant of { lo_chunk : int; hi_chunk : int; epoch : int }
       (** work order: run chunks [lo_chunk .. hi_chunk - 1] *)
@@ -60,31 +49,27 @@ type msg =
       (** one chunk's serialised accumulator *)
   | Heartbeat of {
       worker : string;
-      sent_s : float option;
-          (** v2: absolute monotonic send time — one clock-offset
-              sample per beat *)
+      sent_s : float;
+          (** absolute monotonic send time — one clock-offset sample
+              per beat *)
       metrics : Obs.Json.t option;
-          (** v2: the {!Obs.Metrics.diff} since the worker's previous
-              beat, as {!Obs.Metrics.to_json_value} — compact because
-              unchanged entries are dropped *)
+          (** with telemetry on, the {!Obs.Metrics.diff} since the
+              worker's previous beat, as {!Obs.Metrics.to_json_value} —
+              compact because unchanged entries are dropped *)
     }
   | Events of { worker : string; origin_s : float; lines : string list }
-      (** v2: a batch of the worker's ppevents record lines, verbatim.
+      (** a batch of the worker's ppevents record lines, verbatim.
           [origin_s] is the worker's sink origin on its absolute
           monotonic clock ({!Obs.Events.origin_s}), so the coordinator
           can realign each line's [ts_s] with its clock-offset
           estimate. *)
   | Shutdown
-  | Unknown of string
-      (** a message kind this build does not know — a newer peer.
-          Loops count and ignore it. *)
 
 exception Protocol_error of string
-(** A bare line that is not valid JSON (on a pre-v3 connection), or a
-    CRC-valid frame missing a known message's required fields — the
-    peer is genuinely broken, not merely noisy; drop the connection.
-    (An unknown message {e kind} is {!Unknown}; a corrupt v3 frame is
-    a {!corrupt_count} tick. Neither raises.) *)
+(** A CRC-valid frame whose payload does not decode: bad JSON, a
+    missing field or an unknown message kind. The peer is genuinely
+    broken, not merely noisy; drop the connection. (A corrupt frame is
+    a {!corrupt_count} tick and does not raise.) *)
 
 val to_json : msg -> Obs.Json.t
 val of_json : Obs.Json.t -> (msg, string) result
@@ -112,8 +97,8 @@ val reader : Unix.file_descr -> reader
 val reader_fd : reader -> Unix.file_descr
 
 val corrupt_count : reader -> int
-(** Frames this reader skipped for failing the v3 length/CRC checks
-    (also accumulated in the [dist.corrupt_frames] metric). *)
+(** Lines this reader skipped for failing the v3 prefix, length or CRC
+    checks (also accumulated in the [dist.corrupt_frames] metric). *)
 
 val drain : reader -> msg list * bool
 (** One non-blocking-ish step for a select loop: a single [Unix.read]
@@ -121,12 +106,12 @@ val drain : reader -> msg list * bool
     returning every message completed by it plus [true] when the peer
     closed the connection (EOF — a SIGKILLed worker's socket reads as
     EOF, which is exactly how worker death is detected).
-    @raise Protocol_error on an unparseable bare line (pre-v3 peers). *)
+    @raise Protocol_error on a CRC-valid payload that does not decode. *)
 
 val recv : reader -> msg option
 (** Blocking receive of the next single message; [None] on EOF. The
     worker side's main loop.
-    @raise Protocol_error on an unparseable bare line (pre-v3 peers). *)
+    @raise Protocol_error on a CRC-valid payload that does not decode. *)
 
 val recv_within :
   reader -> timeout_s:float -> [ `Msg of msg | `Eof | `Timeout ]

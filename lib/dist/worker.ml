@@ -39,9 +39,15 @@ let cache_add c chunk state =
 
 let m_resends = Obs.Metrics.counter "dist.cache_resends"
 
-let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
-    ?chaos ?cache:(store = cache_create ()) ?(on_welcome = fun ~config_hash:_ -> ())
-    ?(on_chunk_done = fun _ -> ()) ?(events_batch = 64) ~name ~fd ~runner () =
+(* Hello re-sends before giving up on a Welcome *)
+let hello_retries = 3
+
+(* pending event lines that force an early flush *)
+let events_batch = 64
+
+let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?chaos
+    ?cache:(store = cache_create ()) ?(on_welcome = fun ~config_hash:_ -> ())
+    ?(on_chunk_done = fun _ -> ()) ~name ~fd ~runner () =
   let rd = Wire.reader fd in
   let last_sent = ref (now_s ()) in
   let send msg =
@@ -76,7 +82,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
       flush_events ();
       send
         (Wire.Heartbeat
-           { worker = name; sent_s = Some (now_s ()); metrics = metrics_delta () })
+           { worker = name; sent_s = now_s (); metrics = metrics_delta () })
     end
   in
   let start_telemetry () =
@@ -96,7 +102,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
         worker = name;
         pid = Unix.getpid ();
         host = Unix.gethostname ();
-        sent_s = Some (now_s ());
+        sent_s = now_s ();
       }
   in
   (* The opening handshake under chaos: either our Hello or the
@@ -110,7 +116,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
     | `Msg (Wire.Welcome { config; config_hash; telemetry; _ }) ->
         Ok (config, config_hash, telemetry)
     | `Msg Wire.Shutdown -> Error "coordinator shut down before Welcome"
-    | `Msg (Wire.Unknown _ | Wire.Grant _ | Wire.Heartbeat _ | Wire.Events _) ->
+    | `Msg (Wire.Grant _ | Wire.Heartbeat _ | Wire.Events _) ->
         (* traffic before the Welcome means the Welcome frame itself
            was lost — keep waiting; the timeout path re-Hellos and the
            coordinator re-Welcomes *)
@@ -198,10 +204,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
                      Hello retry that crossed the first Welcome on the
                      wire: the config is identical, carry on *)
                   loop ()
-              | `Msg (Wire.Heartbeat _ | Wire.Events _ | Wire.Unknown _) ->
-                  (* Unknown: a newer coordinator's extra traffic —
-                     skipping it is the forward-compat contract *)
-                  loop ()
+              | `Msg (Wire.Heartbeat _ | Wire.Events _) -> loop ()
               | `Msg (Wire.Hello _ | Wire.Result _) ->
                   Error "worker-bound stream carried a worker message"
             in
@@ -213,10 +216,12 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
 
 let m_reconnects = Obs.Metrics.counter "dist.reconnects"
 
-let run_reconnect ?heartbeat_every ?welcome_timeout ?hello_retries
-    ?(max_attempts = 6) ?(backoff_base = 0.4) ?(backoff_cap = 5.0)
-    ?(jitter_seed = 0) ?chaos_for ?on_chunk_done ?events_batch ~name ~connect
-    ~runner () =
+(* the longest backoff sleep between redials, before jitter *)
+let backoff_cap = 5.0
+
+let run_reconnect ?heartbeat_every ?welcome_timeout ?(max_attempts = 6)
+    ?(backoff_base = 0.4) ?(jitter_seed = 0) ?chaos_for ?on_chunk_done ~name
+    ~connect ~runner () =
   let store = cache_create () in
   let rng = Splitmix64.create (jitter_seed lxor Hashtbl.hash name) in
   let first_hash = ref None in
@@ -246,9 +251,8 @@ let run_reconnect ?heartbeat_every ?welcome_timeout ?hello_retries
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
-              run ?heartbeat_every ?welcome_timeout ?hello_retries ?chaos
-                ~cache:store ~on_welcome ?on_chunk_done ?events_batch ~name ~fd
-                ~runner ())
+              run ?heartbeat_every ?welcome_timeout ?chaos ~cache:store
+                ~on_welcome ?on_chunk_done ~name ~fd ~runner ())
     in
     match (outcome, !hash_conflict) with
     | _, Some e -> Error e

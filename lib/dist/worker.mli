@@ -49,12 +49,10 @@ val cache_create : ?cap:int -> unit -> cache
 val run :
   ?heartbeat_every:float ->
   ?welcome_timeout:float ->
-  ?hello_retries:int ->
   ?chaos:Chaos.t ->
   ?cache:cache ->
   ?on_welcome:(config_hash:string -> unit) ->
   ?on_chunk_done:(int -> unit) ->
-  ?events_batch:int ->
   name:string ->
   fd:Unix.file_descr ->
   runner:(Obs.Json.t -> (chunk_runner, string) result) ->
@@ -73,10 +71,9 @@ val run :
     between chunks {e and} while idle (the receive loop wakes every
     half-interval); with telemetry on, each beat first flushes pending
     event lines and carries the metric delta since the previous beat.
-    [events_batch] (default 64) forces an early flush when that many
-    lines are pending. If no Welcome arrives within [welcome_timeout]
-    (default 5s) the Hello is re-sent, up to [hello_retries] (default
-    3) times. [chaos] mangles this side's outbound frames
+    64 pending lines force an early flush. If no Welcome arrives
+    within [welcome_timeout] (default 5s) the Hello is re-sent, up to
+    3 times. [chaos] mangles this side's outbound frames
     ({!Wire.send}); [on_welcome] reports each accepted Welcome's
     config hash; [on_chunk_done] fires after each chunk's Result is on
     the wire — the chaos-kill test hook ([Unix.kill] yourself there to
@@ -85,14 +82,11 @@ val run :
 val run_reconnect :
   ?heartbeat_every:float ->
   ?welcome_timeout:float ->
-  ?hello_retries:int ->
   ?max_attempts:int ->
   ?backoff_base:float ->
-  ?backoff_cap:float ->
   ?jitter_seed:int ->
   ?chaos_for:(int -> Chaos.t option) ->
   ?on_chunk_done:(int -> unit) ->
-  ?events_batch:int ->
   name:string ->
   connect:(unit -> (Unix.file_descr, string) result) ->
   runner:(Obs.Json.t -> (chunk_runner, string) result) ->
@@ -108,8 +102,8 @@ val run_reconnect :
     results always carry their {e Grant's} epoch, so work from before
     a coordinator restart is recognisably stale.
 
-    A failed session sleeps [min backoff_cap (backoff_base * 2^(k-1))]
-    seconds (defaults 0.4s doubling to 5s) scaled by a deterministic
+    A failed session sleeps [min 5 (backoff_base * 2^(k-1))] seconds
+    ([backoff_base] defaults to 0.4s) scaled by a deterministic
     jitter in [0.75, 1.25) drawn from a Splitmix64 stream seeded by
     [jitter_seed] and the worker name, then redials. [k] counts
     {e consecutive} failures — a session that reached its Welcome

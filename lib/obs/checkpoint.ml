@@ -10,7 +10,6 @@ type t = {
 }
 
 let schema = "ppcheckpoint/v2"
-let schema_v1 = "ppcheckpoint/v1"
 let hash_config config = Digest.to_hex (Digest.string (Json.to_string config))
 
 let create ~config ~total_chunks =
@@ -178,12 +177,9 @@ let to_json t =
 let of_json = function
   | Json.Obj fields ->
     let ( let* ) = Result.bind in
-    (* v1 snapshots (no epoch, no lease table) read as epoch-0 ledgers
-       with every lease free — a resumed coordinator reassigns anything
-       not marked done anyway, so nothing is lost *)
     let* () =
       match List.assoc_opt "schema" fields with
-      | Some (Json.String s) when s = schema || s = schema_v1 -> Ok ()
+      | Some (Json.String s) when s = schema -> Ok ()
       | Some (Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
       | _ -> Error "missing \"schema\" field"
     in
@@ -221,15 +217,14 @@ let of_json = function
         go l
       | _ -> Error "missing \"chunks\" list"
     in
-    let epoch =
+    let* epoch =
       match List.assoc_opt "epoch" fields with
-      | Some (Json.Int e) when e >= 0 -> e
-      | _ -> 0
+      | Some (Json.Int e) when e >= 0 -> Ok e
+      | _ -> Error "missing \"epoch\" field"
     in
     let leases = Array.make total_chunks None in
     let* () =
       match List.assoc_opt "leases" fields with
-      | None -> Ok ()  (* v1 *)
       | Some (Json.List l) ->
         let rec go = function
           | [] -> Ok ()
@@ -249,7 +244,7 @@ let of_json = function
           | _ :: _ -> Error "lease entry must be an object"
         in
         go l
-      | Some _ -> Error "malformed \"leases\" list"
+      | _ -> Error "missing \"leases\" list"
     in
     Ok { config_hash; config; total_chunks; state; epoch; leases }
   | _ -> Error "checkpoint must be a JSON object"

@@ -1,5 +1,5 @@
-(** Crash-safe checkpoint/resume snapshots for chunked scans — and,
-    since v2, the shared ledger the distributed scan coordinates over.
+(** Crash-safe checkpoint/resume snapshots for chunked scans, and the
+    shared ledger the distributed scan coordinates over.
 
     A checkpoint records, for one fixed chunk partition of a scan's
     task space, which chunks have completed and an opaque JSON blob of
@@ -12,7 +12,7 @@
     per-chunk work is index-deterministic — reproduces the
     uninterrupted aggregate byte for byte.
 
-    v2 adds the coordination substrate: a {e lease table} (which worker
+    The coordination substrate is a {e lease table} (which worker
     currently holds each incomplete chunk) and an {e epoch} counter
     bumped every time a coordinator takes the ledger over, so results
     from workers granted in a previous life are recognisably stale.
@@ -20,8 +20,8 @@
     by the next coordinator regardless — but they let tooling show who
     was working on what at the moment of a crash.
 
-    File format: one [ppcheckpoint/v2] JSON object per file; v1 files
-    ([ppcheckpoint/v1], no epoch or lease table) still load. *)
+    File format: one [ppcheckpoint/v2] JSON object per file; a file
+    without [epoch] and [leases] does not load. *)
 
 type lease = { holder : string; lease_epoch : int }
 
@@ -37,9 +37,6 @@ type t = {
 val schema : string
 (** ["ppcheckpoint/v2"]. *)
 
-val schema_v1 : string
-(** ["ppcheckpoint/v1"] — still accepted by {!of_json}/{!load}. *)
-
 val hash_config : Json.t -> string
 (** Hex digest of the canonical rendering of a configuration object. *)
 
@@ -54,7 +51,7 @@ val is_done : t -> int -> bool
 val chunk_state : t -> int -> Json.t option
 val num_done : t -> int
 
-(** {2 Leases and epochs (v2)} *)
+(** {2 Leases and epochs} *)
 
 val epoch : t -> int
 

@@ -242,17 +242,16 @@ let snapshot_json ?meta ?fleet ~elapsed_s s =
   let meta_fields =
     match meta with None -> [] | Some m -> [ ("meta", Run_meta.to_json m) ]
   in
-  (* schema stays ppmetrics/v1 for a single-process export; the fleet
-     section (even an empty one: telemetry on, no worker yet) bumps it
-     to /v2 — old readers that only look at "metrics" keep working *)
-  let schema, fleet_fields =
+  (* the workers section (even an empty one: telemetry on, no worker
+     yet) is present exactly when a fleet provider is set, so readers
+     can tell telemetry-off from an empty fleet *)
+  let fleet_fields =
     match fleet with
-    | None -> ("ppmetrics/v1", [])
-    | Some rows ->
-      ("ppmetrics/v2", [ ("workers", Json.List (List.map fleet_worker_json rows)) ])
+    | None -> []
+    | Some rows -> [ ("workers", Json.List (List.map fleet_worker_json rows)) ]
   in
   Json.Obj
-    (("schema", Json.String schema)
+    (("schema", Json.String "ppmetrics/v2")
      :: meta_fields
     @ [
         ("elapsed_s", Json.Float elapsed_s);

@@ -3,9 +3,9 @@
 
     Two renderings are kept side by side at every write: an atomic
     (tmp + rename, never torn) JSON snapshot at [path] — schema
-    [ppmetrics/v1] (or [ppmetrics/v2] when a {!set_fleet} provider is
-    installed: same fields plus a ["workers"] section, one row per
-    distributed worker) — and the Prometheus text format at
+    [ppmetrics/v2], with a ["workers"] section (one row per distributed
+    worker) exactly when a {!set_fleet} provider is installed — and the
+    Prometheus text format at
     {!prom_path}[ path], ready for a node-exporter-style textfile
     collector.
 
@@ -30,8 +30,8 @@ type fleet_worker = {
 
 val set_fleet : (unit -> fleet_worker list) option -> unit
 (** Install (or clear) the fleet provider the writer calls at every
-    snapshot. With a provider active the JSON schema is [ppmetrics/v2]
-    with a ["workers"] array, and the Prometheus rendering gains
+    snapshot. With a provider active the JSON snapshot gains a
+    ["workers"] array, and the Prometheus rendering gains
     [pp_fleet_*] families plus per-worker [pp_worker_<metric>] series
     labelled [{worker,host}]. The provider runs on the writer thread —
     it must be thread-safe (the coordinator's registry is
@@ -66,9 +66,8 @@ val snapshot_json :
   elapsed_s:float ->
   Metrics.snapshot ->
   Json.t
-(** [fleet = None] emits [ppmetrics/v1]; [Some rows] (even empty —
-    telemetry on, nobody joined yet) emits [ppmetrics/v2] with the
-    ["workers"] array. *)
+(** Always [ppmetrics/v2]. [Some rows] (even empty — telemetry on,
+    nobody joined yet) adds the ["workers"] array; [None] omits it. *)
 
 val prom_path : string -> string
 (** The sibling Prometheus file: [x.json] maps to [x.prom], anything

@@ -10,7 +10,7 @@
 type section = { wall_s : float; metrics : Metrics.snapshot }
 
 type run = {
-  meta : Run_meta.t option;  (** absent in legacy [ppbench/v1] files *)
+  meta : Run_meta.t option;  (** absent when the writer had no provenance *)
   sections : (string * section) list;
   timings : (string * float) list;  (** bechamel name, ns/run *)
 }
@@ -20,7 +20,8 @@ val schema : string
 
 val run_to_json : run -> Json.t
 val run_of_json : Json.t -> (run, string) result
-(** Accepts both [ppbench/v1] (no meta) and [ppbench/v2]. *)
+(** Accepts [ppbench/v2] only; any other schema is an [unknown schema]
+    error. *)
 
 val parse_run : string -> (run, string) result
 val load_file : string -> (run, string) result

@@ -49,7 +49,7 @@ type chunk_group = {
   g_median_s : float;
   g_p99_s : float;
   g_max_s : float;
-  g_straggler : bool;  (** max exceeds [straggler_factor] x median *)
+  g_straggler : bool;  (** max exceeds 2 x median *)
   g_worst : (string * float) list;
       (** up to 3 slowest members, labelled by chunk index (or task
           range) and duration *)
@@ -63,10 +63,10 @@ type chunk_group = {
   g_task_max_s : float;
   g_task_straggler : bool;
       (** straggler {e after} normalising by chunk size: per-task max
-          exceeds [straggler_factor] x per-task median. A section
-          straggling raw but not per-task is schedule imbalance (big
-          chunks), which a descending-size schedule trims; straggling
-          per-task is genuinely slow work *)
+          exceeds 2 x per-task median. A section straggling raw but
+          not per-task is schedule imbalance (big chunks), which a
+          descending-size schedule trims; straggling per-task is
+          genuinely slow work *)
 }
 
 type report = {
@@ -88,14 +88,9 @@ val spans_of_json : Json.t -> (span list * int, string) result
 (** Extract complete spans (and count instants) from a Chrome
     trace-event array; unknown event kinds are skipped. *)
 
-val analyse :
-  ?source:string ->
-  ?timeline_buckets:int ->
-  ?straggler_factor:float ->
-  span list * int ->
-  report
-(** Pure analysis (deterministic for a given trace). Defaults: 48
-    timeline buckets, straggler factor 2.0. *)
+val analyse : ?source:string -> span list * int -> report
+(** Pure analysis (deterministic for a given trace), with 48 timeline
+    buckets and a straggler factor of 2. *)
 
 val load : string -> (report, string) result
 (** Read, parse and analyse a trace file. *)

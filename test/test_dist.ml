@@ -1,12 +1,12 @@
 (* Tests for the distributed scan stack: the wire protocol round-trips
    through arbitrary packet fragmentation, the lease table's
-   grant/complete/reassign bookkeeping is exact, v1 checkpoints still
-   load as v2 ledgers, and — the contract everything else exists for —
-   a scan distributed across workers that die at random moments merges
-   to the byte-identical single-process result. The simulation props
-   drive the exact code the real coordinator runs (Dist.Lease +
-   Busy_beaver.scan_chunk); a separate smoke test forks real worker
-   processes through Distributed_scan. *)
+   grant/complete/reassign bookkeeping is exact, the checkpoint ledger
+   keeps its leases and epoch, and — the contract everything else
+   exists for — a scan distributed across workers that die at random
+   moments merges to the byte-identical single-process result. The
+   simulation props drive the exact code the real coordinator runs
+   (Dist.Lease + Busy_beaver.scan_chunk); a separate smoke test forks
+   real worker processes through Dist.Distributed_scan. *)
 
 let prop name ?(count = 50) arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
@@ -24,10 +24,9 @@ let result_eq (a : Busy_beaver.scan_result) (b : Busy_beaver.scan_result) =
 
 let sample_msgs =
   [
-    (* v1-shaped Hello (no host, no stamp) and the full v2 one *)
-    Dist.Wire.Hello { worker = "w0"; pid = 4242; host = ""; sent_s = None };
+    Dist.Wire.Hello { worker = "w0"; pid = 4242; host = ""; sent_s = 3.0 };
     Dist.Wire.Hello
-      { worker = "w1"; pid = 17; host = "node-a"; sent_s = Some 12.5 };
+      { worker = "w1"; pid = 17; host = "node-a"; sent_s = 12.5 };
     Dist.Wire.Welcome
       {
         config = Obs.Json.Obj [ ("n", Obs.Json.Int 2) ];
@@ -51,11 +50,11 @@ let sample_msgs =
         epoch = 3;
         state = Obs.Json.Obj [ ("scanned", Obs.Json.Int 16) ];
       };
-    Dist.Wire.Heartbeat { worker = "w0"; sent_s = None; metrics = None };
+    Dist.Wire.Heartbeat { worker = "w0"; sent_s = 4.0; metrics = None };
     Dist.Wire.Heartbeat
       {
         worker = "w1";
-        sent_s = Some 99.25;
+        sent_s = 99.25;
         metrics =
           Some (Obs.Json.Obj [ ("dist.chunks_done", Obs.Json.Int 3) ]);
       };
@@ -68,6 +67,12 @@ let sample_msgs =
     Dist.Wire.Shutdown;
   ]
 
+let v3_frame payload =
+  Printf.sprintf "#3 %d %08x %s\n" (String.length payload)
+    (Dist.Wire.crc32 payload) payload
+
+let payload_of m = Obs.Json.to_string (Dist.Wire.to_json m)
+
 let test_wire_roundtrip () =
   List.iter
     (fun m ->
@@ -76,37 +81,9 @@ let test_wire_roundtrip () =
       | Error e -> Alcotest.fail e)
     sample_msgs
 
-let test_wire_v1_welcome_bytes () =
-  (* a telemetry-off Welcome must be byte-identical to what a v1
-     encoder wrote, so v1 readers never even see the new field *)
-  match
-    Dist.Wire.to_json
-      (Dist.Wire.Welcome
-         {
-           config = Obs.Json.Obj [];
-           config_hash = "h";
-           epoch = 1;
-           total_chunks = 2;
-           telemetry = false;
-         })
-  with
-  | Obs.Json.Obj fields ->
-    Alcotest.(check bool) "no telemetry field when false" true
-      (not (List.mem_assoc "telemetry" fields))
-  | _ -> Alcotest.fail "Welcome did not encode as an object"
-
-let test_wire_unknown_kind () =
-  match Dist.Wire.of_json (Obs.Json.Obj [ ("msg", Obs.Json.String "frobnicate") ]) with
-  | Ok (Dist.Wire.Unknown k) ->
-    Alcotest.(check string) "kind surfaces" "frobnicate" k
-  | Ok _ -> Alcotest.fail "unknown kind decoded as a known message"
-  | Error e -> Alcotest.fail ("unknown kind must not be an error: " ^ e)
-
-(* forward compatibility: a *newer* peer may add fields to any known
-   message — decoders must skip what they do not know, exactly as the
-   v2 decoder's lenient field handling promises. Inject junk fields at
+(* decoders ignore fields they do not know: inject junk fields at
    random positions into every sample message's JSON and require the
-   identical decode. *)
+   identical decode *)
 let wire_unknown_fields_prop =
   prop "decoders skip unknown fields in known messages" ~count:100
     QCheck.(pair (int_range 1 4) (int_range 0 1000))
@@ -153,9 +130,7 @@ let wire_fragmentation_prop =
         (fun () ->
           let bytes =
             String.concat ""
-              (List.map
-                 (fun m -> Obs.Json.to_string (Dist.Wire.to_json m) ^ "\n")
-                 sample_msgs)
+              (List.map (fun m -> v3_frame (payload_of m)) sample_msgs)
           in
           let pos = ref 0 in
           while !pos < String.length bytes do
@@ -362,12 +337,6 @@ let test_lease_grant_sizing_small_todo () =
 
 (* -- Wire: v3 framing, CRC, corrupt-frame tolerance -------------------------- *)
 
-let v3_frame payload =
-  Printf.sprintf "#3 %d %08x %s\n" (String.length payload)
-    (Dist.Wire.crc32 payload) payload
-
-let payload_of m = Obs.Json.to_string (Dist.Wire.to_json m)
-
 let with_pipe f =
   let rfd, wfd = Unix.pipe () in
   Fun.protect
@@ -456,41 +425,30 @@ let test_wire_valid_crc_bad_json_raises () =
       | exception Dist.Wire.Protocol_error _ -> ()
       | _ -> Alcotest.fail "CRC-valid garbage payload must raise")
 
-let test_wire_v2_bytes_still_decode () =
-  (* a v1/v2 peer writes bare JSON lines; the v3 reader accepts the
-     byte stream unchanged, even interleaved with v3 frames *)
+let test_wire_unknown_kind_raises () =
+  (* a CRC-valid frame of a kind this build does not know is a broken
+     sender, like any other payload that does not decode *)
   with_pipe (fun rfd wfd ->
-      let bare m = payload_of m ^ "\n" in
-      write_str wfd
-        (bare (List.nth sample_msgs 0)
-        ^ v3_frame (payload_of (List.nth sample_msgs 4))
-        ^ bare Dist.Wire.Shutdown);
-      Unix.close wfd;
-      let rd = Dist.Wire.reader rfd in
-      Alcotest.(check bool) "mixed v2/v3 stream decodes in order" true
-        (pump rd
-         = [ List.nth sample_msgs 0; List.nth sample_msgs 4; Dist.Wire.Shutdown ]);
-      Alcotest.(check int) "nothing counted corrupt" 0
-        (Dist.Wire.corrupt_count rd))
-
-let test_wire_garbage_strict_then_lenient () =
-  (* pre-v3, an unparseable bare line is a broken peer... *)
-  with_pipe (fun rfd wfd ->
-      write_str wfd "garbage\n";
+      write_str wfd (v3_frame {|{"msg":"frobnicate"}|});
       Unix.close wfd;
       let rd = Dist.Wire.reader rfd in
       match Dist.Wire.recv rd with
       | exception Dist.Wire.Protocol_error _ -> ()
-      | _ -> Alcotest.fail "garbage on a v1/v2 connection must raise");
-  (* ...but once the connection has spoken v3, it reads as a frame
-     whose "#3 " prefix was mangled in transit: count and skip *)
+      | _ -> Alcotest.fail "unknown kind in a CRC-valid frame must raise")
+
+let test_wire_bare_lines_corrupt () =
+  (* a line without the "#3 " prefix is corrupt wherever it appears —
+     before any frame too — whether it is a well-formed JSON message or
+     garbage: counted, skipped, never fatal *)
   with_pipe (fun rfd wfd ->
-      write_str wfd (v3_frame (payload_of Dist.Wire.Shutdown) ^ "garbage\n");
+      write_str wfd
+        (payload_of Dist.Wire.Shutdown ^ "\n" ^ "garbage\n"
+        ^ v3_frame (payload_of Dist.Wire.Shutdown));
       Unix.close wfd;
       let rd = Dist.Wire.reader rfd in
-      Alcotest.(check bool) "the valid frame decodes" true
+      Alcotest.(check bool) "only the frame decodes" true
         (pump rd = [ Dist.Wire.Shutdown ]);
-      Alcotest.(check int) "the mangled line is counted, not fatal" 1
+      Alcotest.(check int) "both bare lines counted" 2
         (Dist.Wire.corrupt_count rd))
 
 let test_select_eintr_rides_signals () =
@@ -573,13 +531,14 @@ let test_chaos_budget_bounds_faults () =
   Alcotest.(check bool) "passthrough after exhaustion" true
     (Dist.Chaos.apply t f = [ f ])
 
-(* -- Checkpoint v1 -> v2 read compatibility ---------------------------------- *)
+(* -- Checkpoint ledger: one schema, leases and epochs ------------------------ *)
 
-let test_checkpoint_v1_reads_as_v2 () =
-  let v1 =
+let test_checkpoint_v1_rejected () =
+  (* a v1 body: no epoch, no lease table *)
+  let labelled schema =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.String "ppcheckpoint/v1");
+        ("schema", Obs.Json.String schema);
         ("config_hash", Obs.Json.String "deadbeef");
         ("config", Obs.Json.Obj [ ("n", Obs.Json.Int 2) ]);
         ("total_chunks", Obs.Json.Int 5);
@@ -594,26 +553,33 @@ let test_checkpoint_v1_reads_as_v2 () =
             ] );
       ]
   in
-  match Obs.Checkpoint.of_json v1 with
+  (match Obs.Checkpoint.of_json (labelled "ppcheckpoint/v1") with
+   | Error e ->
+     Alcotest.(check string) "named as an unknown schema"
+       {|unknown schema "ppcheckpoint/v1"|} e
+   | Ok _ -> Alcotest.fail "a ppcheckpoint/v1 document must not load");
+  Alcotest.(check bool) "labelled v2, still no epoch or leases: an error" true
+    (Result.is_error (Obs.Checkpoint.of_json (labelled Obs.Checkpoint.schema)))
+
+let test_checkpoint_leases_roundtrip () =
+  let c =
+    Obs.Checkpoint.create ~config:(Obs.Json.Obj [ ("n", Obs.Json.Int 2) ])
+      ~total_chunks:5
+  in
+  Obs.Checkpoint.mark_done c 2 (Obs.Json.Obj [ ("scanned", Obs.Json.Int 7) ]);
+  ignore (Obs.Checkpoint.bump_epoch c);
+  Obs.Checkpoint.set_lease c 3 ~holder:"w1";
+  match Obs.Checkpoint.of_json (Obs.Checkpoint.to_json c) with
   | Error e -> Alcotest.fail e
-  | Ok c ->
-    Alcotest.(check int) "v1 loads at epoch 0" 0 (Obs.Checkpoint.epoch c);
-    Alcotest.(check int) "completed chunks survive" 1 (Obs.Checkpoint.num_done c);
-    Alcotest.(check bool) "lease table is empty" true
-      (List.init 5 (fun i -> Obs.Checkpoint.lease c i)
-       |> List.for_all (( = ) None));
-    (* and re-saving emits v2, which round-trips with leases *)
-    ignore (Obs.Checkpoint.bump_epoch c);
-    Obs.Checkpoint.set_lease c 3 ~holder:"w1";
-    (match Obs.Checkpoint.of_json (Obs.Checkpoint.to_json c) with
-     | Error e -> Alcotest.fail e
-     | Ok c' ->
-       Alcotest.(check int) "epoch round-trips" 1 (Obs.Checkpoint.epoch c');
-       Alcotest.(check bool) "lease round-trips" true
-         (Obs.Checkpoint.lease c' 3
-          = Some { Obs.Checkpoint.holder = "w1"; lease_epoch = 1 });
-       Alcotest.(check (list int)) "leased_to agrees" [ 3 ]
-         (Obs.Checkpoint.leased_to c' ~holder:"w1"))
+  | Ok c' ->
+    Alcotest.(check int) "epoch round-trips" 1 (Obs.Checkpoint.epoch c');
+    Alcotest.(check int) "completed chunks survive" 1
+      (Obs.Checkpoint.num_done c');
+    Alcotest.(check bool) "lease round-trips" true
+      (Obs.Checkpoint.lease c' 3
+       = Some { Obs.Checkpoint.holder = "w1"; lease_epoch = 1 });
+    Alcotest.(check (list int)) "leased_to agrees" [ 3 ]
+      (Obs.Checkpoint.leased_to c' ~holder:"w1")
 
 let test_mismatch_diff () =
   let expected =
@@ -821,10 +787,10 @@ let test_offset_min_filter () =
      delivery delays shrink over time — the estimate must keep the
      minimum, converging on -3 + min delay *)
   Dist.Telemetry.join t ~worker:"w" ~host:"h" ~pid:1
-    ~sent_s:(Some (10.0 +. 3.0)) ~now:(10.0 +. 0.5);
-  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(Some (20.0 +. 3.0))
+    ~sent_s:(10.0 +. 3.0) ~now:(10.0 +. 0.5);
+  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(20.0 +. 3.0)
     ~metrics:None ~now:(20.0 +. 0.01);
-  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(Some (30.0 +. 3.0))
+  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(30.0 +. 3.0)
     ~metrics:None ~now:(30.0 +. 0.2);
   let est = Dist.Telemetry.offset t ~worker:"w" in
   Alcotest.(check bool) "min-filtered to the best sample" true
@@ -835,24 +801,24 @@ let test_offset_min_filter () =
 let test_fork_smoke () =
   let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
   let reference = Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 () in
-  let o = Distributed_scan.coordinate ~workers:2 ~plan () in
+  let o = Dist.Distributed_scan.coordinate ~workers:2 ~plan () in
   Alcotest.(check bool) "result identical to single-process" true
-    (result_eq o.Distributed_scan.result reference);
+    (result_eq o.Dist.Distributed_scan.result reference);
   Alcotest.(check bool) "not interrupted" true
-    (not o.Distributed_scan.result.Busy_beaver.interrupted);
+    (not o.Dist.Distributed_scan.result.Busy_beaver.interrupted);
   Alcotest.(check int) "both workers joined" 2
-    o.Distributed_scan.stats.Dist.Coordinator.workers_seen
+    o.Dist.Distributed_scan.stats.Dist.Coordinator.workers_seen
 
 let test_fork_chaos_kill () =
   let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
   let reference = Busy_beaver.scan ~chunk:4 ~max_input:8 ~n:2 () in
   let o =
-    Distributed_scan.coordinate ~workers:3 ~chaos_kill:(1, 1) ~plan ()
+    Dist.Distributed_scan.coordinate ~workers:3 ~chaos_kill:(1, 1) ~plan ()
   in
   Alcotest.(check bool) "result identical despite the SIGKILL" true
-    (result_eq o.Distributed_scan.result reference);
+    (result_eq o.Dist.Distributed_scan.result reference);
   Alcotest.(check int) "the killed worker was noticed" 1
-    o.Distributed_scan.stats.Dist.Coordinator.workers_lost
+    o.Dist.Distributed_scan.stats.Dist.Coordinator.workers_lost
 
 let with_temp_checkpoint f =
   let path = Filename.temp_file "distscan" ".ckpt" in
@@ -863,9 +829,9 @@ let with_temp_checkpoint f =
 let test_fork_checkpoint_epochs () =
   with_temp_checkpoint (fun path ->
       let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
-      let o1 = Distributed_scan.coordinate ~workers:1 ~checkpoint:path ~plan () in
+      let o1 = Dist.Distributed_scan.coordinate ~workers:1 ~checkpoint:path ~plan () in
       Alcotest.(check bool) "first run completes" true
-        (not o1.Distributed_scan.result.Busy_beaver.interrupted);
+        (not o1.Dist.Distributed_scan.result.Busy_beaver.interrupted);
       (match Obs.Checkpoint.load path with
        | Error e -> Alcotest.fail e
        | Ok c ->
@@ -876,13 +842,13 @@ let test_fork_checkpoint_epochs () =
       (* resuming a complete ledger: adopt (epoch 2), nothing to scan,
          same result from the restored accumulators *)
       let o2 =
-        Distributed_scan.coordinate ~workers:1 ~checkpoint:path ~resume:true
+        Dist.Distributed_scan.coordinate ~workers:1 ~checkpoint:path ~resume:true
           ~plan ()
       in
       Alcotest.(check bool) "resumed result identical" true
-        (result_eq o1.Distributed_scan.result o2.Distributed_scan.result);
+        (result_eq o1.Dist.Distributed_scan.result o2.Dist.Distributed_scan.result);
       Alcotest.(check int) "no chunk re-scanned" 0
-        o2.Distributed_scan.stats.Dist.Coordinator.chunks_done;
+        o2.Dist.Distributed_scan.stats.Dist.Coordinator.chunks_done;
       match Obs.Checkpoint.load path with
       | Error e -> Alcotest.fail e
       | Ok c ->
@@ -900,15 +866,15 @@ let test_fork_telemetry () =
       let o =
         Fun.protect
           ~finally:(fun () -> Obs.Events.stop ())
-          (fun () -> Distributed_scan.coordinate ~workers:2 ~plan ())
+          (fun () -> Dist.Distributed_scan.coordinate ~workers:2 ~plan ())
       in
       Alcotest.(check bool) "telemetry does not change the result" true
-        (result_eq o.Distributed_scan.result reference);
-      let fleet = o.Distributed_scan.stats.Dist.Coordinator.fleet in
+        (result_eq o.Dist.Distributed_scan.result reference);
+      let fleet = o.Dist.Distributed_scan.stats.Dist.Coordinator.fleet in
       Alcotest.(check int) "both workers in the fleet summary" 2
         (List.length fleet);
       Alcotest.(check int) "fleet chunk counts sum to the total"
-        o.Distributed_scan.stats.Dist.Coordinator.chunks_done
+        o.Dist.Distributed_scan.stats.Dist.Coordinator.chunks_done
         (List.fold_left
            (fun acc s -> acc + s.Dist.Telemetry.s_chunks_done)
            0 fleet);
@@ -1036,12 +1002,12 @@ let fork_chaos_kill_prop =
         chaos_profile (List.nth [ "lossy"; "corrupt"; "wild" ] profile_idx)
       in
       let o =
-        Distributed_scan.coordinate ~workers:3 ~heartbeat_timeout:0.35
+        Dist.Distributed_scan.coordinate ~workers:3 ~heartbeat_timeout:0.35
           ~chaos_kill:(kill_worker, kill_after)
           ~chaos_net:{ Dist.Chaos.profile; seed } ~plan:fork_chaos_plan ()
       in
-      result_eq o.Distributed_scan.result fork_chaos_reference
-      && not o.Distributed_scan.result.Busy_beaver.interrupted)
+      result_eq o.Dist.Distributed_scan.result fork_chaos_reference
+      && not o.Dist.Distributed_scan.result.Busy_beaver.interrupted)
 
 (* -- Coordinator crash recovery with a live, reconnecting worker ------------- *)
 
@@ -1049,7 +1015,7 @@ let test_coordinator_restart_recovery () =
   with_temp_checkpoint (fun path ->
       let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
       let reference = Busy_beaver.scan ~chunk:4 ~max_input:8 ~n:2 () in
-      let serve_fd = Distributed_scan.listen ~port:0 () in
+      let serve_fd = Dist.Distributed_scan.listen ~port:0 () in
       let port =
         match Unix.getsockname serve_fd with
         | Unix.ADDR_INET (_, p) -> p
@@ -1063,7 +1029,7 @@ let test_coordinator_restart_recovery () =
         | 0 ->
           (try
              ignore
-               (Distributed_scan.coordinate ~serve:serve_fd
+               (Dist.Distributed_scan.coordinate ~serve:serve_fd
                   ~heartbeat_timeout:1.0 ~checkpoint:path
                   ~checkpoint_every_chunks:1 ~checkpoint_every_s:0.05 ~plan ())
            with _ -> ());
@@ -1074,7 +1040,7 @@ let test_coordinator_restart_recovery () =
         match Unix.fork () with
         | 0 ->
           let r =
-            Distributed_scan.connect_worker ~name:"phoenix"
+            Dist.Distributed_scan.connect_worker ~name:"phoenix"
               ~heartbeat_every:0.25 ~reconnect:true ~max_attempts:8
               ~backoff_base:0.1 ~host:"127.0.0.1" ~port ()
           in
@@ -1106,14 +1072,14 @@ let test_coordinator_restart_recovery () =
           ~finally:(fun () ->
             try Unix.close serve_fd with Unix.Unix_error _ -> ())
           (fun () ->
-            Distributed_scan.coordinate ~serve:serve_fd ~heartbeat_timeout:1.0
+            Dist.Distributed_scan.coordinate ~serve:serve_fd ~heartbeat_timeout:1.0
               ~checkpoint:path ~checkpoint_every_chunks:1 ~resume:true ~plan ())
       in
       let _, _wstatus = Unix.waitpid [] worker_pid in
       Alcotest.(check bool) "merged result identical across the crash" true
-        (result_eq o.Distributed_scan.result reference);
+        (result_eq o.Dist.Distributed_scan.result reference);
       Alcotest.(check bool) "recovery run completed" true
-        (not o.Distributed_scan.result.Busy_beaver.interrupted);
+        (not o.Dist.Distributed_scan.result.Busy_beaver.interrupted);
       match Obs.Checkpoint.load path with
       | Ok c ->
         Alcotest.(check bool) "second adoption bumped the epoch" true
@@ -1126,10 +1092,6 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "message round-trip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "telemetry-off Welcome is v1-identical" `Quick
-            test_wire_v1_welcome_bytes;
-          Alcotest.test_case "unknown kind decodes as Unknown" `Quick
-            test_wire_unknown_kind;
           wire_unknown_fields_prop;
           wire_fragmentation_prop;
         ] );
@@ -1144,10 +1106,10 @@ let () =
             test_wire_corrupt_frames_skipped;
           Alcotest.test_case "CRC-valid garbage payload raises" `Quick
             test_wire_valid_crc_bad_json_raises;
-          Alcotest.test_case "v1/v2 byte streams still decode" `Quick
-            test_wire_v2_bytes_still_decode;
-          Alcotest.test_case "bare garbage: strict pre-v3, lenient after"
-            `Quick test_wire_garbage_strict_then_lenient;
+          Alcotest.test_case "unknown kind in a valid frame raises" `Quick
+            test_wire_unknown_kind_raises;
+          Alcotest.test_case "bare lines are corrupt frames" `Quick
+            test_wire_bare_lines_corrupt;
           Alcotest.test_case "select_eintr rides out signals" `Quick
             test_select_eintr_rides_signals;
         ] );
@@ -1192,8 +1154,10 @@ let () =
         ] );
       ( "ledger",
         [
-          Alcotest.test_case "v1 checkpoint reads as v2" `Quick
-            test_checkpoint_v1_reads_as_v2;
+          Alcotest.test_case "v1 checkpoint: unknown schema" `Quick
+            test_checkpoint_v1_rejected;
+          Alcotest.test_case "leases and epoch round-trip" `Quick
+            test_checkpoint_leases_roundtrip;
           Alcotest.test_case "mismatch diff names the field" `Quick
             test_mismatch_diff;
         ] );

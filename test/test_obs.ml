@@ -529,7 +529,7 @@ let test_checkpoint_save_load () =
 let test_checkpoint_rejects_garbage () =
   with_temp_file (fun path ->
       let oc = open_out path in
-      output_string oc "{\"schema\": \"ppcheckpoint/v1\", \"total_ch";
+      output_string oc "{\"schema\": \"ppcheckpoint/v2\", \"total_ch";
       close_out oc;
       match Obs.Checkpoint.load path with
       | Error _ -> ()

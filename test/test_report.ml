@@ -161,6 +161,15 @@ let test_ledger_bad_line () =
     Alcotest.(check bool) "order preserved" true (runs = [ a; b ]);
     Alcotest.(check int) "bad lines counted" 2 skipped
 
+let test_ppbench_v1_rejected () =
+  match
+    Obs.History.parse_run {|{"schema": "ppbench/v1", "sections": [], "timings": []}|}
+  with
+  | Error e ->
+    Alcotest.(check string) "named as an unknown schema"
+      {|unknown schema "ppbench/v1"|} e
+  | Ok _ -> Alcotest.fail "a ppbench/v1 document must not load"
+
 (* -- medians -------------------------------------------------------------- *)
 
 let section_with ~wall counter =
@@ -382,7 +391,9 @@ let test_export_write_now () =
   (match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
    | Ok (Obs.Json.Obj fields) ->
      Alcotest.(check bool) "schema" true
-       (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v1"));
+       (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v2"));
+     Alcotest.(check bool) "no workers section without a fleet" false
+       (List.mem_assoc "workers" fields);
      Alcotest.(check bool) "has meta" true (List.mem_assoc "meta" fields);
      (match List.assoc_opt "metrics" fields with
       | Some m ->
@@ -491,13 +502,15 @@ let test_export_fleet () =
        ~infix:
          "pp_worker_ensemble_trial_steps_bucket{worker=\"fork0-123\",host=\"node-a\",le=\"+Inf\"} 3"
        prom_text);
-  (* and with the provider removed the schema drops back to v1 *)
+  (* with the provider removed the schema stays and the workers go *)
   Obs.Export.set_fleet None;
   Obs.Export.write_now ~t0:(Obs.Clock.now_ns ()) ~path ();
   match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok (Obs.Json.Obj fields) ->
-    Alcotest.(check bool) "back to ppmetrics/v1" true
-      (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v1"))
+    Alcotest.(check bool) "still ppmetrics/v2" true
+      (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v2"));
+    Alcotest.(check bool) "workers section gone" false
+      (List.mem_assoc "workers" fields)
   | _ -> Alcotest.fail "second snapshot does not parse"
 
 let test_export_periodic () =
@@ -518,6 +531,8 @@ let test_export_periodic () =
   Alcotest.(check bool) "exporter stopped" false (Obs.Export.active ());
   match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok (Obs.Json.Obj fields) ->
+    Alcotest.(check bool) "periodic snapshots are ppmetrics/v2" true
+      (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v2"));
     (match List.assoc_opt "metrics" fields with
      | Some m ->
        (match Obs.Metrics.of_json_value m with
@@ -540,6 +555,8 @@ let () =
           run_bytes_stable_prop;
           meta_roundtrip_prop;
           Alcotest.test_case "Run_meta.collect" `Quick test_run_meta_collect;
+          Alcotest.test_case "ppbench/v1 is an unknown schema" `Quick
+            test_ppbench_v1_rejected;
         ] );
       ( "ledger",
         [
