@@ -730,6 +730,8 @@ let e15 () =
       "n=%d: %d protocols, f(%d) = %d (apparent, cutoff 12); %d never reach All_1\n"
       n r.Section_4_1.num_protocols n r.Section_4_1.max_f
       r.Section_4_1.num_unreachable;
+    if r.Section_4_1.num_aborted > 0 then
+      row "   verdict unknown (budget): %d protocols\n" r.Section_4_1.num_aborted;
     List.iter
       (fun (i, c) -> row "   min accepting input %-3d %d protocols\n" i c)
       r.Section_4_1.histogram

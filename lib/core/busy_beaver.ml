@@ -18,10 +18,13 @@ let pairs n =
     (List.init n Fun.id)
   |> Array.of_list
 
-let num_deterministic_protocols n =
+(* P^P transition assignments, P = n(n+1)/2 unordered state pairs *)
+let num_assignments n =
   let p = n * (n + 1) / 2 in
-  let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  pow p p 1 * (1 lsl n)
+  let rec pow e acc = if e = 0 then acc else pow (e - 1) (acc * p) in
+  pow p 1
+
+let num_deterministic_protocols n = num_assignments n * (1 lsl n)
 
 let check_n who n =
   if n < 1 || n > 4 then
@@ -295,7 +298,10 @@ let partial_of_json j =
    machines) holding equal plans compute byte-identical chunk
    accumulators for equal chunk indices; that is the whole determinism
    story of the distributed scan. *)
+type kernel = Eta | Min_accepting
+
 type plan = {
+  pl_kernel : kernel;
   pl_n : int;
   pl_num_outputs : int;
   pl_max_input : int;
@@ -313,13 +319,11 @@ type plan = {
   pl_bounds : (int * int) array;
 }
 
-let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
-    ?(packed = true) ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s
-    ?sample ~n () =
+let plan ?(kernel = Eta) ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed)
+    ?(prune = true) ?(packed = true) ?(max_input = 12) ?(max_configs = 60_000)
+    ?eta_budget_s ?sample ~n () =
   check_n "plan" n;
-  let np = Array.length spaces.(n).pair_list in
-  let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  let num_assignments = pow np np 1 in
+  let num_assignments = num_assignments n in
   let num_outputs = 1 lsl n in
   let codes =
     Option.map
@@ -334,6 +338,7 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
   in
   let chunk = Stdlib.max 1 chunk in
   {
+    pl_kernel = kernel;
     pl_n = n;
     pl_num_outputs = num_outputs;
     pl_max_input = max_input;
@@ -384,14 +389,19 @@ let chunk_index plan ~lo =
    scan that would recompute the exact same chunks, and a worker only
    serves a coordinator whose plan equals its own. The sample
    (count, seed) covers the RNG scheme — sampled code [i] depends on
-   nothing else. The guided schedule's partition depends on jobs, so
-   those two fields join the fingerprint only in that mode (default
-   fingerprints stay compatible with pre-v2 snapshots). *)
+   nothing else. The kernel is the workload name, so a snapshot or a
+   worker never mixes BB(n) and f(n) chunks. The guided schedule's
+   partition depends on jobs, so those two fields join the fingerprint
+   only in that mode. *)
 let plan_config plan =
   let open Obs.Json in
   Obj
     ([
-       ("workload", String "bbsearch");
+       ( "workload",
+         String
+           (match plan.pl_kernel with
+            | Eta -> "bbsearch"
+            | Min_accepting -> "min_accepting") );
        ("n", Int plan.pl_n);
        ("max_input", Int plan.pl_max_input);
        ("max_configs", Int plan.pl_max_configs);
@@ -426,10 +436,11 @@ let plan_of_config json =
       | Some (Bool b) -> Ok b
       | _ -> Error (Printf.sprintf "scan config: missing bool field %S" k)
     in
-    let* () =
+    let* kernel =
       match List.assoc_opt "workload" fields with
-      | Some (String "bbsearch") -> Ok ()
-      | _ -> Error "scan config: not a bbsearch configuration"
+      | Some (String "bbsearch") -> Ok Eta
+      | Some (String "min_accepting") -> Ok Min_accepting
+      | _ -> Error "scan config: not a bbsearch or min_accepting configuration"
     in
     let* n = int "n" in
     if n < 1 || n > 4 then Error "scan config: 1 <= n <= 4"
@@ -461,8 +472,8 @@ let plan_of_config json =
         | Some _ -> Error "scan config: malformed schedule"
       in
       let p =
-        plan ~jobs ~chunk ~schedule ~prune ~packed ~max_input ~max_configs
-          ?eta_budget_s ?sample ~n ()
+        plan ~kernel ~jobs ~chunk ~schedule ~prune ~packed ~max_input
+          ~max_configs ?eta_budget_s ?sample ~n ()
       in
       let* total = int "total" in
       if total <> p.pl_total then
@@ -497,62 +508,72 @@ let examine plan part display ~weight ~assignment ~output_bits =
            (Atomic.get d.d_scanned) d.d_total
            (Atomic.get d.d_threshold)
            (Atomic.get d.d_best)));
-  (* all-reject output maps short-circuit *)
-  if output_bits = 0 then part.p_reject_all <- part.p_reject_all + weight
+  let reject () = part.p_reject_all <- part.p_reject_all + weight in
+  let abort () =
+    part.p_aborted <- part.p_aborted + weight;
+    Obs.Metrics.incr m_aborted
+  in
+  (* all-reject output maps short-circuit: no input is accepted and no
+     configuration is All_1 *)
+  if output_bits = 0 then reject ()
   else begin
     let p = decode plan.pl_n ~assignment ~output_bits in
-    let bump_hist eta =
+    (* a threshold (Eta) or a minimum accepting input (Min_accepting):
+       into the histogram, and the best value and its code *)
+    let value v =
       part.p_threshold <- part.p_threshold + weight;
-      if Obs.Metrics.enabled () then Obs.Metrics.add m_threshold weight;
+      if plan.pl_kernel = Eta && Obs.Metrics.enabled () then
+        Obs.Metrics.add m_threshold weight;
       (match display with
        | None -> ()
        | Some d -> ignore (Atomic.fetch_and_add d.d_threshold weight));
-      Hashtbl.replace part.p_hist eta
-        (weight + Option.value (Hashtbl.find_opt part.p_hist eta) ~default:0)
-    in
-    let record_best eta =
-      if eta > part.p_best_eta then begin
-        part.p_best_eta <- eta;
+      Hashtbl.replace part.p_hist v
+        (weight + Option.value (Hashtbl.find_opt part.p_hist v) ~default:0);
+      if v > part.p_best_eta then begin
+        part.p_best_eta <- v;
         part.p_best_code <- Some (assignment, output_bits);
         (match display with
          | None -> ()
          | Some d ->
            let rec raise_disp () =
              let cur = Atomic.get d.d_best in
-             if eta > cur && not (Atomic.compare_and_set d.d_best cur eta) then
+             if v > cur && not (Atomic.compare_and_set d.d_best cur v) then
                raise_disp ()
            in
            raise_disp ());
         Obs.Trace.instant "bbsearch.new_best" ~cat:"bbsearch"
-          ~args:[ ("eta", string_of_int eta); ("protocol", p.Population.name) ]
+          ~args:[ ("eta", string_of_int v); ("protocol", p.Population.name) ]
       end
     in
-    match
-      (* eager exploration: the scan decides almost every input, so
-         lazy SCC detection saves <0.1% of the nodes while its DFS
-         machinery costs ~25% per node *)
-      Eta_search.find ~max_configs:plan.pl_max_configs
-        ?wall_budget_s:plan.pl_eta_budget_s ~packed:plan.pl_packed
-        ~incremental:false p ~max_input:plan.pl_max_input
-    with
-    | Eta_search.Eta eta ->
-      bump_hist eta;
-      record_best eta
-    | Eta_search.Always_accepts ->
-      (* computes x >= i for every valid i up to the smallest input:
-         record as threshold 2 (all populations have >= 2 agents) *)
-      bump_hist 2;
-      record_best 2
-    | Eta_search.Always_rejects -> part.p_reject_all <- part.p_reject_all + weight
-    | Eta_search.Not_threshold _ -> ()
-    | exception Configgraph.Too_many_configs _ ->
-      part.p_aborted <- part.p_aborted + weight;
-      Obs.Metrics.incr m_aborted
-    | exception Obs.Budget.Exceeded _ ->
-      (* wall budget hit on this protocol: its verdict degrades to
-         unknown, the scan itself keeps going *)
-      part.p_aborted <- part.p_aborted + weight;
-      Obs.Metrics.incr m_aborted
+    match plan.pl_kernel with
+    | Eta ->
+      (match
+         (* eager exploration: the scan decides almost every input, so
+            lazy SCC detection saves <0.1% of the nodes while its DFS
+            machinery costs ~25% per node *)
+         Eta_search.find ~max_configs:plan.pl_max_configs
+           ?wall_budget_s:plan.pl_eta_budget_s ~packed:plan.pl_packed
+           ~incremental:false p ~max_input:plan.pl_max_input
+       with
+       | Eta_search.Eta eta -> value eta
+       | Eta_search.Always_accepts ->
+         (* computes x >= i for every valid i up to the smallest input:
+            record as threshold 2 (all populations have >= 2 agents) *)
+         value 2
+       | Eta_search.Always_rejects -> reject ()
+       | Eta_search.Not_threshold _ -> ()
+       | exception (Configgraph.Too_many_configs _ | Obs.Budget.Exceeded _) ->
+         (* node or wall budget hit on this protocol: its verdict
+            degrades to unknown, the scan itself keeps going *)
+         abort ())
+    | Min_accepting ->
+      (match
+         Eta_search.min_accepting_input ~max_configs:plan.pl_max_configs p
+           ~max_input:plan.pl_max_input
+       with
+       | Some i -> value i
+       | None -> reject ()
+       | exception Configgraph.Too_many_configs _ -> abort ())
   end
 
 (* One chunk of the plan, from a fresh accumulator — the unit of work a
@@ -637,31 +658,34 @@ let merge_partials plan partials ~completed ~interrupted ~task_errors =
       task_errors;
     } )
 
+(* One accumulator per chunk slot ([None] = chunk not run) and the
+   number of filled slots: the merge input of {!result_of_chunks}, and
+   what a resumed {!scan} restores from its checkpoint. *)
+let partials_of_slots who slots =
+  let filled = ref 0 in
+  let partials =
+    Array.mapi
+      (fun i slot ->
+        match slot with
+        | None -> fresh_partial ()
+        | Some j ->
+          incr filled;
+          (match partial_of_json j with
+           | Ok part -> part
+           | Error msg ->
+             invalid_arg
+               (Printf.sprintf "Busy_beaver.%s: chunk %d: %s" who i msg)))
+      slots
+  in
+  (partials, !filled)
+
 let result_of_chunks ?(interrupted = false) plan chunks =
   if Array.length chunks <> plan_chunks plan then
     invalid_arg
       (Printf.sprintf "Busy_beaver.result_of_chunks: %d chunk slots, plan has %d"
          (Array.length chunks) (plan_chunks plan));
-  let completed = ref 0 in
-  let partials =
-    Array.mapi
-      (fun i state ->
-        match state with
-        | None -> fresh_partial ()
-        | Some j ->
-          (match partial_of_json j with
-           | Ok part ->
-             incr completed;
-             part
-           | Error msg ->
-             invalid_arg
-               (Printf.sprintf "Busy_beaver.result_of_chunks: chunk %d: %s" i
-                  msg)))
-      chunks
-  in
-  snd
-    (merge_partials plan partials ~completed:!completed ~interrupted
-       ~task_errors:0)
+  let partials, completed = partials_of_slots "result_of_chunks" chunks in
+  snd (merge_partials plan partials ~completed ~interrupted ~task_errors:0)
 
 (* --------------------------------------------------------------- scan *)
 
@@ -676,51 +700,14 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
   in
   let total = plan.pl_total in
   let num_chunks = plan_chunks plan in
-  let partials = Array.init num_chunks (fun _ -> fresh_partial ()) in
   let config_json = plan_config plan in
   let cp =
     match checkpoint with
     | None -> None
     | Some path ->
-      let c =
-        if resume && Sys.file_exists path then begin
-          match Obs.Checkpoint.load path with
-          | Error msg ->
-            invalid_arg
-              (Printf.sprintf "Busy_beaver.scan: cannot resume from %s: %s"
-                 path msg)
-          | Ok c ->
-            if
-              c.Obs.Checkpoint.config_hash
-              <> Obs.Checkpoint.hash_config config_json
-              || c.Obs.Checkpoint.total_chunks <> num_chunks
-            then
-              (* a typed error with a field-level diff: the user learns
-                 which flag changed, not just that two hashes differ *)
-              raise
-                (Obs.Checkpoint.Mismatch
-                   {
-                     path;
-                     diff =
-                       Obs.Checkpoint.config_diff ~expected:config_json
-                         ~found:c.Obs.Checkpoint.config;
-                   });
-            (* restore the completed chunks' accumulators *)
-            for i = 0 to num_chunks - 1 do
-              match Obs.Checkpoint.chunk_state c i with
-              | None -> ()
-              | Some j ->
-                (match partial_of_json j with
-                 | Ok part -> partials.(i) <- part
-                 | Error msg ->
-                   invalid_arg
-                     (Printf.sprintf
-                        "Busy_beaver.scan: checkpoint %s, chunk %d: %s" path i
-                        msg))
-            done;
-            c
-        end
-        else Obs.Checkpoint.create ~config:config_json ~total_chunks:num_chunks
+      let c, _ =
+        Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
+          ~total_chunks:num_chunks
       in
       let writer =
         Obs.Checkpoint.writer ~every_chunks:checkpoint_every_chunks
@@ -728,8 +715,12 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
       in
       Some (c, writer)
   in
-  let restored_chunks =
-    match cp with Some (c, _) -> Obs.Checkpoint.num_done c | None -> 0
+  (* a resumed scan restores the completed chunks' accumulators *)
+  let partials, restored_chunks =
+    partials_of_slots "scan"
+      (match cp with
+       | Some (c, _) -> c.Obs.Checkpoint.state
+       | None -> Array.make num_chunks None)
   in
   (* display-only tallies for the progress line; the authoritative
      counts live in the per-chunk partials *)
@@ -802,22 +793,3 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
       Printf.sprintf "%d protocols scanned, %d threshold, best eta %d"
         acc.p_scanned acc.p_threshold acc.p_best_eta);
   result
-
-let iter_protocols ?sample ~n f =
-  check_n "iter_protocols" n;
-  let np = Array.length spaces.(n).pair_list in
-  let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  let num_assignments = pow np np 1 in
-  let num_outputs = 1 lsl n in
-  match sample with
-  | None ->
-    for assignment = 0 to num_assignments - 1 do
-      for output_bits = 0 to num_outputs - 1 do
-        f (decode n ~assignment ~output_bits)
-      done
-    done
-  | Some (count, seed) ->
-    Array.iter
-      (fun (assignment, output_bits) ->
-        f (decode n ~assignment ~output_bits))
-      (sample_codes ~seed ~count ~num_assignments ~num_outputs)

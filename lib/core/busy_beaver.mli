@@ -10,6 +10,12 @@
     fundamentally hard — it is VAS-reachability territory), so results
     are reported as {e apparent} busy-beaver values.
 
+    The same driver measures Section 4.1's [f(n)]: a {!plan} carries a
+    per-protocol {!kernel}, either the threshold ([Eta], what {!scan}
+    runs) or the minimum accepting input ([Min_accepting], what
+    {!Section_4_1.scan} runs). Both kernels share the enumeration, the
+    symmetry pruning, the chunks and the merge.
+
     The scan is a sharded pipeline: the code space is cut into
     fixed-size chunks, chunks are claimed dynamically by a domain pool
     ({!Pool}), and per-chunk partial results are reduced in chunk index
@@ -120,7 +126,17 @@ val scan :
 
 type plan
 
+(** What a plan decides about each protocol: the threshold
+    ({!Eta_search.find}, what {!scan} runs) or Section 4.1's minimum
+    accepting input ({!Eta_search.min_accepting_input}, what
+    {!Section_4_1.scan} runs). A [Min_accepting] value fills
+    [histogram], [best_eta], [best] and [num_threshold]; "no accepting
+    input up to the cutoff" counts into [num_reject_all]. [packed] and
+    [eta_budget_s] apply to [Eta] only. *)
+type kernel = Eta | Min_accepting
+
 val plan :
+  ?kernel:kernel ->
   ?jobs:int ->
   ?chunk:int ->
   ?schedule:Pool.schedule ->
@@ -133,12 +149,15 @@ val plan :
   n:int ->
   unit ->
   plan
-(** Same defaults as {!scan}. [jobs] shapes the partition only under
-    [`Guided]. *)
+(** Same defaults as {!scan}; [kernel] defaults to [Eta]. [jobs]
+    shapes the partition only under [`Guided]. *)
 
 val plan_config : plan -> Obs.Json.t
 (** The canonical configuration object — what {!scan} fingerprints into
-    checkpoints and what a coordinator sends to joining workers. *)
+    checkpoints and what a coordinator sends to joining workers. Its
+    ["workload"] field names the kernel (["bbsearch"] for [Eta],
+    ["min_accepting"] for [Min_accepting]), so a snapshot or a worker
+    never mixes the two. *)
 
 val plan_of_config : Obs.Json.t -> (plan, string) result
 (** Rebuild a plan from {!plan_config} output: a worker process derives
@@ -179,12 +198,6 @@ val protocol_of_code :
     number whose digit [i] names the target pair of ordered-pair [i];
     [output_bits] is the output bitmap ([bit s] set iff state [s] maps
     to true). This is the enumeration {!scan} walks. *)
-
-val iter_protocols :
-  ?sample:int * int -> n:int -> (Population.t -> unit) -> unit
-(** Enumerate (or uniformly sample) the same deterministic complete
-    leaderless protocol space that {!scan} searches, calling the
-    function on each protocol. Used by {!Section_4_1}. *)
 
 (** The symmetry group of the code space: state permutations fixing the
     input state 0 (isomorphic to [S_{n-1}]). Relabelling states by such

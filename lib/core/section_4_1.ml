@@ -1,42 +1,27 @@
 let min_accepting_input ?(max_configs = 60_000) p ~max_input =
-  if not (Array.exists Fun.id p.Population.output) then None
-  else begin
-    let accepting c = Population.output_of_config p c = Some true in
-    let inputs = Fair_semantics.valid_inputs_single p ~max:max_input in
-    List.find_opt
-      (fun i ->
-        Option.is_some
-          (Configgraph.search ~max_configs p (Population.initial_single p i)
-             accepting))
-      inputs
-  end
+  Eta_search.min_accepting_input ~max_configs p ~max_input
 
 type scan_result = {
   num_protocols : int;
   max_f : int;
   num_unreachable : int;
+  num_aborted : int;
   histogram : (int * int) list;
 }
 
-let scan ?(max_input = 12) ?(max_configs = 60_000) ?sample ~n () =
-  let num_protocols = ref 0 in
-  let max_f = ref 0 in
-  let num_unreachable = ref 0 in
-  let histogram = Hashtbl.create 16 in
-  Busy_beaver.iter_protocols ?sample ~n (fun p ->
-      incr num_protocols;
-      match min_accepting_input ~max_configs p ~max_input with
-      | Some i ->
-        Hashtbl.replace histogram i
-          (1 + Option.value (Hashtbl.find_opt histogram i) ~default:0);
-        if i > !max_f then max_f := i
-      | None -> incr num_unreachable
-      | exception Configgraph.Too_many_configs _ -> incr num_unreachable);
+let scan ?max_input ?max_configs ?sample ~n () =
+  let plan =
+    Busy_beaver.plan ~kernel:Min_accepting ?max_input ?max_configs ?sample ~n ()
+  in
+  let r =
+    Busy_beaver.result_of_chunks plan
+      (Array.init (Busy_beaver.plan_chunks plan) (fun ci ->
+           Some (Busy_beaver.scan_chunk plan ci)))
+  in
   {
-    num_protocols = !num_protocols;
-    max_f = !max_f;
-    num_unreachable = !num_unreachable;
-    histogram =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) histogram []
-      |> List.sort Stdlib.compare;
+    num_protocols = r.num_protocols;
+    max_f = r.best_eta;
+    num_unreachable = r.num_reject_all;
+    num_aborted = r.num_aborted;
+    histogram = r.histogram;
   }

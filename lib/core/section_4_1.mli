@@ -17,24 +17,29 @@
 
 val min_accepting_input :
   ?max_configs:int -> Population.t -> max_input:int -> int option
-(** Least [i <= max_input] such that some configuration reachable from
-    [IC(i)] has all agents on output-1 states; [None] if there is none
-    below the cutoff (or the protocol has no output-1 state at all).
-    Each input is one {!Configgraph.search}: a breadth-first walk from
-    [IC(i)] that stops at the first [All_1] configuration it discovers,
-    so the graph is built in full only when no such configuration is
-    reachable.
-    @raise Configgraph.Too_many_configs when a search discovers
-    [max_configs] (default 60_000) configurations without a match. *)
+(** {!Eta_search.min_accepting_input} with [max_configs] defaulting to
+    60_000, the scan's budget. *)
 
 type scan_result = {
   num_protocols : int;
   max_f : int;              (** largest finite minimum found *)
-  num_unreachable : int;    (** protocols that never reach All_1 below the cutoff *)
+  num_unreachable : int;
+      (** protocols that never reach All_1 below the cutoff (no
+          output-1 state, or no accepting input up to [max_input]) *)
+  num_aborted : int;
+      (** verdict unknown: a search hit [max_configs]
+          ({!Configgraph.Too_many_configs}) before a match *)
   histogram : (int * int) list;  (** min accepting input -> #protocols *)
 }
 
 val scan :
   ?max_input:int -> ?max_configs:int -> ?sample:int * int -> n:int -> unit ->
   scan_result
-(** Same protocol space and defaults as {!Busy_beaver.scan}. *)
+(** The [Min_accepting] kernel of {!Busy_beaver.plan}, run sequentially
+    through {!Busy_beaver.scan_chunk} and {!Busy_beaver.result_of_chunks}:
+    the busy-beaver scan's code space, defaults, sampling and orbit
+    pruning. Pruning is exact because [IC(i) →* All_1] is invariant under
+    relabelling states [1..n-1], as long as no search hits the budget
+    (where a search stops depends on the labelling). At [n <= 4] and
+    [max_input <= 12] it cannot: [IC(12)] has at most C(15,3) = 455
+    configurations. *)

@@ -22,35 +22,16 @@ type outcome = {
 
 let m_restarts = Obs.Metrics.counter "coordinator.restarts"
 
-(* Same open-or-resume logic as Busy_beaver.scan, plus the adoption
-   step: bump the epoch and persist it *before* any grant goes out, so
+(* [Obs.Checkpoint.open_or_resume], as in Busy_beaver.scan, plus the
+   adoption step: bump the epoch and persist it *before* any grant goes out, so
    grants of a previous (crashed) coordinator can never be mistaken for
    this run's. Every recovery step leaves an events/metrics trail:
    [coordinator.restarts] counts prior lives (epoch - 1 on adoption)
    and a [dist.recovery] record says what was rehydrated. *)
 let open_ledger ~path ~resume ~config_json ~num_chunks =
   let c, resumed =
-    if resume && Sys.file_exists path then begin
-      match Obs.Checkpoint.load path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Distributed_scan: cannot resume from %s: %s" path msg)
-      | Ok c ->
-        if
-          c.Obs.Checkpoint.config_hash <> Obs.Checkpoint.hash_config config_json
-          || c.Obs.Checkpoint.total_chunks <> num_chunks
-        then
-          raise
-            (Obs.Checkpoint.Mismatch
-               {
-                 path;
-                 diff =
-                   Obs.Checkpoint.config_diff ~expected:config_json
-                     ~found:c.Obs.Checkpoint.config;
-               });
-        (c, true)
-    end
-    else (Obs.Checkpoint.create ~config:config_json ~total_chunks:num_chunks, false)
+    Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
+      ~total_chunks:num_chunks
   in
   let epoch = Obs.Checkpoint.bump_epoch c in
   (* leases stamped by previous lives are dead letters in the new
@@ -156,13 +137,11 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
   let epoch = match cp with Some (c, _) -> Obs.Checkpoint.epoch c | None -> 1 in
   (* per-chunk accumulator slots — the authoritative state; the
      checkpoint mirrors it to disk *)
-  let slots = Array.make num_chunks None in
-  (match cp with
-  | Some (c, _) ->
-    for i = 0 to num_chunks - 1 do
-      slots.(i) <- Obs.Checkpoint.chunk_state c i
-    done
-  | None -> ());
+  let slots =
+    match cp with
+    | Some (c, _) -> Array.copy c.Obs.Checkpoint.state
+    | None -> Array.make num_chunks None
+  in
   (* socketpairs before any fork, so each child can close every end it
      does not own *)
   let pairs =

@@ -36,10 +36,6 @@ let is_done t i =
   check_index "is_done" t i;
   t.state.(i) <> None
 
-let chunk_state t i =
-  check_index "chunk_state" t i;
-  t.state.(i)
-
 let num_done t =
   Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.state
 
@@ -268,6 +264,20 @@ let load path =
     (match Json.parse contents with
      | Error e -> Error e
      | Ok j -> of_json j)
+
+let open_or_resume ~path ~resume ~config ~total_chunks =
+  if resume && Sys.file_exists path then begin
+    match load path with
+    | Error msg -> invalid_arg (Printf.sprintf "cannot resume from %s: %s" path msg)
+    | Ok c ->
+      if c.config_hash <> hash_config config || c.total_chunks <> total_chunks
+      then
+        (* a typed error with a field-level diff: the user learns which
+           flag changed, not just that two hashes differ *)
+        raise (Mismatch { path; diff = config_diff ~expected:config ~found:c.config });
+      (c, true)
+  end
+  else (create ~config ~total_chunks, false)
 
 (* --------------------------------------------------------------- writer *)
 

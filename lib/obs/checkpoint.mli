@@ -48,7 +48,6 @@ val mark_done : t -> int -> Json.t -> unit
     release any lease on it). *)
 
 val is_done : t -> int -> bool
-val chunk_state : t -> int -> Json.t option
 val num_done : t -> int
 
 (** {2 Leases and epochs} *)
@@ -72,7 +71,7 @@ val leased_to : t -> holder:string -> int list
 (** {2 Configuration mismatch}
 
     A snapshot only resumes the scan configuration that wrote it. When
-    the fingerprints differ, callers raise {!Mismatch} carrying a
+    the fingerprints differ, {!open_or_resume} raises {!Mismatch} carrying a
     field-by-field diff so the user learns {e which} flag changed
     instead of staring at two hashes. *)
 
@@ -102,6 +101,13 @@ val save : path:string -> t -> unit
     @raise Sys_error when the write fails. *)
 
 val load : string -> (t, string) result
+
+val open_or_resume :
+  path:string -> resume:bool -> config:Json.t -> total_chunks:int -> t * bool
+(** The snapshot at [path] and [true] when resuming an existing file,
+    else a fresh {!create} (not yet written) and [false].
+    @raise Mismatch when its configuration or chunk count differs.
+    @raise Invalid_argument when the file is unreadable or malformed. *)
 
 (** A throttled, thread-safe writer: workers report completed chunks
     from any domain; a snapshot is written every [every_chunks]

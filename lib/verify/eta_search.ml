@@ -96,3 +96,13 @@ let find ?max_configs ?wall_budget_s ?packed ?incremental ?(jobs = 1)
         Obs.Progress.finish progress (fun () ->
             Format.asprintf "%a" pp_result r);
         r)
+
+let min_accepting_input ~max_configs p ~max_input =
+  let accepting c = Population.output_of_config p c = Some true in
+  if not (Array.exists Fun.id p.Population.output) then None
+  else
+    Fair_semantics.valid_inputs_single p ~max:max_input
+    |> List.find_opt (fun i ->
+           Option.is_some
+             (Configgraph.search ~max_configs p (Population.initial_single p i)
+                accepting))

@@ -46,3 +46,13 @@ val find :
     @raise Obs.Budget.Exceeded when the wall budget expires. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+val min_accepting_input :
+  max_configs:int -> Population.t -> max_input:int -> int option
+(** Section 4.1's [min { i <= max_input | IC(i) →* All_1 }], [All_1]
+    being the configurations with every agent on an output-1 state;
+    [None] if there is no such [i] (or no output-1 state). Each input is
+    one multiset {!Configgraph.search}, which stops at the first [All_1]
+    configuration it discovers.
+    @raise Configgraph.Too_many_configs when a search discovers
+    [max_configs] configurations without a match. *)

@@ -143,6 +143,78 @@ let test_prune_exact_n3_sampled () =
   Alcotest.(check bool) "sampled n=3 aggregates identical" true
     (aggregates_eq pruned unpruned)
 
+(* -- Section 4.1's f(n) as a second kernel of the same plan ----------------- *)
+
+let with_temp_checkpoint f =
+  let path = Filename.temp_file "bbscan" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let run_plan plan =
+  Busy_beaver.result_of_chunks plan
+    (Array.init (Busy_beaver.plan_chunks plan) (fun ci ->
+         Some (Busy_beaver.scan_chunk plan ci)))
+
+let f_plan = Busy_beaver.plan ~kernel:Busy_beaver.Min_accepting
+
+let test_f_prune_and_chunk_exact () =
+  List.iter
+    (fun (label, sample, max_input) ->
+      let pruned = run_plan (f_plan ~max_input ?sample ~n:3 ()) in
+      let unpruned = run_plan (f_plan ~max_input ?sample ~prune:false ~n:3 ()) in
+      let chunked = run_plan (f_plan ~max_input ?sample ~chunk:7 ~n:3 ()) in
+      Alcotest.(check bool) (label ^ ": pruned = unpruned") true
+        (aggregates_eq pruned unpruned);
+      Alcotest.(check bool) (label ^ ": chunk 7 = default chunk") true
+        (result_eq pruned chunked))
+    (* exhaustive: orbit weights; sampled: canonical representatives *)
+    [ ("n=3 exhaustive", None, 3); ("n=3 sampled", Some (400, 3), 10) ]
+
+let test_f_plan_round_trip () =
+  let plan = f_plan ~max_input:9 ~chunk:5 ~sample:(50, 2) ~n:3 () in
+  let config = Busy_beaver.plan_config plan in
+  Alcotest.(check bool) "workload names the kernel" true
+    (match config with
+     | Obs.Json.Obj fields ->
+       List.assoc_opt "workload" fields = Some (Obs.Json.String "min_accepting")
+     | _ -> false);
+  match Busy_beaver.plan_of_config config with
+  | Error msg -> Alcotest.fail msg
+  | Ok plan' ->
+    Alcotest.(check string) "config survives"
+      (Obs.Json.to_string config)
+      (Obs.Json.to_string (Busy_beaver.plan_config plan'));
+    Alcotest.(check bool) "same chunk states" true
+      (List.for_all
+         (fun ci ->
+           Busy_beaver.scan_chunk plan ci = Busy_beaver.scan_chunk plan' ci)
+         (List.init (Busy_beaver.plan_chunks plan) Fun.id));
+    Alcotest.(check bool) "an unknown workload is rejected" true
+      (match config with
+       | Obs.Json.Obj fields ->
+         Result.is_error
+           (Busy_beaver.plan_of_config
+              (Obs.Json.Obj
+                 (("workload", Obs.Json.String "other")
+                 :: List.remove_assoc "workload" fields)))
+       | _ -> false)
+
+let test_f_plan_refuses_eta_checkpoint () =
+  with_temp_checkpoint (fun path ->
+      ignore (Busy_beaver.scan ~n:2 ~max_input:8 ~checkpoint:path ());
+      let plan = f_plan ~max_input:8 ~n:2 () in
+      match
+        Obs.Checkpoint.open_or_resume ~path ~resume:true
+          ~config:(Busy_beaver.plan_config plan)
+          ~total_chunks:(Busy_beaver.plan_chunks plan)
+      with
+      | _ -> Alcotest.fail "an eta checkpoint resumed an f plan"
+      | exception Obs.Checkpoint.Mismatch { diff; _ } ->
+        Alcotest.(check (list string)) "the diff names the workload"
+          [ "workload" ]
+          (List.map (fun d -> d.Obs.Checkpoint.field) diff))
+
 (* -- Determinism across the domain pool ------------------------------------ *)
 
 let test_jobs_invariance_exhaustive () =
@@ -337,12 +409,6 @@ let test_pool_should_stop_cancels () =
 
 (* -- Checkpoint/resume: kill at a random chunk, resume, compare ------------- *)
 
-let with_temp_checkpoint f =
-  let path = Filename.temp_file "bbscan" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let checkpoint_resume_prop =
   prop "interrupted scan resumes to the uninterrupted result" ~count:8
     QCheck.(pair (int_range 1 26) (int_range 1 4))
@@ -389,6 +455,15 @@ let () =
           Alcotest.test_case "exact on full n=2" `Quick test_prune_exact_n2;
           Alcotest.test_case "exact on sampled n=3" `Quick
             test_prune_exact_n3_sampled;
+        ] );
+      ( "f kernel",
+        [
+          Alcotest.test_case "pruning and chunking exact" `Quick
+            test_f_prune_and_chunk_exact;
+          Alcotest.test_case "plan config round trip" `Quick
+            test_f_plan_round_trip;
+          Alcotest.test_case "eta checkpoint refused" `Quick
+            test_f_plan_refuses_eta_checkpoint;
         ] );
       ( "determinism",
         [

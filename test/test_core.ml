@@ -320,6 +320,73 @@ let test_f_scan () =
   Alcotest.(check int) "histogram total" (108 - r.Section_4_1.num_unreachable)
     (List.fold_left (fun acc (_, c) -> acc + c) 0 r.Section_4_1.histogram)
 
+(* Reference f scan: a plain fold of [min_accepting_input] over every
+   decoded code (or every sampled one, drawn as the plan draws them),
+   with no pruning and no chunks. [Section_4_1.scan] must agree with it
+   field for field. *)
+let reference_f_scan ?sample ~n ~max_input () =
+  let num_outputs = 1 lsl n in
+  let num_assignments = Busy_beaver.num_deterministic_protocols n / num_outputs in
+  let codes =
+    match sample with
+    | None ->
+      List.init (num_assignments * num_outputs) (fun idx ->
+          (idx / num_outputs, idx mod num_outputs))
+    | Some (count, seed) ->
+      let master = Splitmix64.create seed in
+      List.init count (fun _ ->
+          let rng = Splitmix64.split master in
+          let assignment = Splitmix64.int_below rng num_assignments in
+          (assignment, Splitmix64.int_below rng num_outputs))
+  in
+  let hist = Hashtbl.create 8 in
+  let r =
+    List.fold_left
+      (fun (r : Section_4_1.scan_result) (assignment, output_bits) ->
+        let p = Busy_beaver.protocol_of_code ~n ~assignment ~output_bits in
+        let r = { r with num_protocols = r.num_protocols + 1 } in
+        match Section_4_1.min_accepting_input p ~max_input with
+        | Some i ->
+          Hashtbl.replace hist i (1 + Option.value (Hashtbl.find_opt hist i) ~default:0);
+          { r with max_f = max r.max_f i }
+        | None -> { r with num_unreachable = r.num_unreachable + 1 }
+        | exception Configgraph.Too_many_configs _ ->
+          { r with num_aborted = r.num_aborted + 1 })
+      { num_protocols = 0; max_f = 0; num_unreachable = 0; num_aborted = 0;
+        histogram = [] }
+      codes
+  in
+  { r with
+    histogram = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []) }
+
+let test_f_scan_matches_reference () =
+  let check label (a : Section_4_1.scan_result) (b : Section_4_1.scan_result) =
+    Alcotest.(check int) (label ^ " protocols") b.num_protocols a.num_protocols;
+    Alcotest.(check int) (label ^ " max_f") b.max_f a.max_f;
+    Alcotest.(check int) (label ^ " unreachable") b.num_unreachable a.num_unreachable;
+    Alcotest.(check int) (label ^ " aborted") b.num_aborted a.num_aborted;
+    Alcotest.(check (list (pair int int))) (label ^ " histogram") b.histogram
+      a.histogram
+  in
+  check "n=2" (Section_4_1.scan ~n:2 ~max_input:10 ())
+    (reference_f_scan ~n:2 ~max_input:10 ());
+  check "n=3 sampled"
+    (Section_4_1.scan ~n:3 ~max_input:10 ~sample:(400, 7) ())
+    (reference_f_scan ~n:3 ~max_input:10 ~sample:(400, 7) ())
+
+let test_f_aborts_counted_apart () =
+  (* with a 3-configuration budget many searches abort. An aborted code
+     is neither unreachable nor in the histogram, and a code the tiny
+     budget finds unreachable is unreachable under the full budget too *)
+  let r = Section_4_1.scan ~n:2 ~max_input:10 ~max_configs:3 () in
+  let full = Section_4_1.scan ~n:2 ~max_input:10 () in
+  Alcotest.(check bool) "some aborts" true (r.num_aborted > 0);
+  Alcotest.(check int) "every code counted once" r.num_protocols
+    (List.fold_left (fun acc (_, c) -> acc + c)
+       (r.num_unreachable + r.num_aborted) r.histogram);
+  Alcotest.(check bool) "aborts are not unreachable" true
+    (r.num_unreachable <= full.num_unreachable)
+
 let test_f_dominates_busy_beaver () =
   (* For a threshold protocol, the minimum input reaching All_1 is
      exactly its threshold, so f-scan >= BB-scan on the same space. *)
@@ -396,6 +463,10 @@ let () =
         [
           Alcotest.test_case "min accepting input" `Quick test_f_min_accepting;
           Alcotest.test_case "f scan" `Quick test_f_scan;
+          Alcotest.test_case "f scan equals the reference fold" `Quick
+            test_f_scan_matches_reference;
+          Alcotest.test_case "f aborts counted apart" `Quick
+            test_f_aborts_counted_apart;
           Alcotest.test_case "f dominates BB" `Quick test_f_dominates_busy_beaver;
         ] );
       ( "state-complexity",
